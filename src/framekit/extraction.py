@@ -29,7 +29,7 @@ from .errors import (
     RoundLimit,
     ZeroNorm,
 )
-from .metrics import riesz_constant, separation_constant, singular_values
+from .metrics import riesz_constant, separation_and_norm
 from .selection import bt_guarantee_size, greedy_order
 
 ROUND_CAP = 64
@@ -141,7 +141,6 @@ def _run_rounds(
     total: int,
     delta: float | None,
     rule2_coeff: float | None,
-    tolerance: float,
 ):
     """Shared peeling loop.  delta gates eligibility (frame mode) when given."""
     cols = system.columns
@@ -254,25 +253,16 @@ def extract_biorthogonal(
     if not 0.0 < c <= 1.0:
         raise BadParameter("c must lie in (0, 1]")
     m = system.count
-    if m >= 2:
-        separation = separation_constant(system)
-    else:
-        separation = float(np.linalg.norm(system.columns[:, 0]))
+    separation, hilbertian = separation_and_norm(system)
     if separation <= tolerance:
         raise NotSeparated(f"separation {separation:.3e} is at or below tolerance")
-    hilbertian = float(singular_values(system)[0])
     target = coverage_target(m, eps)
     selected, rounds, stop_reason = _run_rounds(
-        system, eps, c, target, m, None, None, tolerance
+        system, eps, c, target, m, None, None
     )
     final = tuple(sorted(selected))
     final_riesz = riesz_constant(system.subsystem(final))
-    try:
-        certificate = theoretical_bound(
-            eps, min(separation, 1.0), max(hilbertian, 1.0), c
-        )
-    except BadParameter:  # pragma: no cover - clipped arguments are always legal
-        certificate = None
+    certificate = theoretical_bound(eps, min(separation, 1.0), max(hilbertian, 1.0), c)
     parameters = {
         "eps": eps,
         "c": c,
@@ -338,7 +328,7 @@ def extract_frame(
     target = coverage_target(n, eps)
     rule2_coeff = c / upper**2
     selected, rounds, stop_reason = _run_rounds(
-        system, eps, c, target, n, delta, rule2_coeff, tolerance
+        system, eps, c, target, n, delta, rule2_coeff
     )
     final = tuple(sorted(selected))
     final_riesz = riesz_constant(system.subsystem(final))

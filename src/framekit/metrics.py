@@ -5,6 +5,19 @@ the largest singular value of the synthesis matrix, the Besselian constant the
 reciprocal of the smallest (infinity once the columns are dependent), and the
 two-sided Riesz constant their maximum.  Infinity is represented by
 float('inf') in memory and by the string "inf" in serialized output.
+
+The separation and Schauder constants come from one reduced QR factorization
+cols = Q R of the m independent columns, in the m x m coordinates of R:
+
+* the coordinate functionals are the rows of R^-1 Q^H, so the distance from
+  f_j to the span of the others is 1 / ||row j of R^-1||;
+* the prefix projector onto the first p vectors along the rest is
+  Q [[I, R12 R22^-1], [0, 0]] Q^H with R12 = R[:p, p:] and R22 = R[p:, p:],
+  so its norm is sqrt(1 + ||R12 R22^-1||^2).
+
+The singular values of R are those of cols.  Columns that are dependent (more
+vectors than dimensions, or rank below m at relative tolerance RANK_RTOL) have
+separation exactly 0 and infinite Besselian and Schauder constants.
 """
 from __future__ import annotations
 
@@ -29,6 +42,52 @@ def _rank(svals: np.ndarray) -> int:
     if svals.size == 0 or svals[0] == 0.0:
         return 0
     return int(np.count_nonzero(svals > RANK_RTOL * svals[0]))
+
+
+def _factor(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Singular values of cols and the R of cols = Q R, or None for dependent columns.
+
+    More columns than rows are dependent without a QR; one SVD of cols then
+    gives the singular values.
+    """
+    n, m = cols.shape
+    if m > n:
+        return np.linalg.svd(cols, compute_uv=False), None
+    r = np.linalg.qr(cols, mode="r")
+    svals = np.linalg.svd(r, compute_uv=False)
+    if _rank(svals) < m:
+        return svals, None
+    return svals, r
+
+
+def _separation(r: np.ndarray | None) -> float:
+    """min_j 1 / ||row j of R^-1||, or 0.0 for dependent columns."""
+    if r is None:
+        return 0.0
+    r_inv = scipy.linalg.solve_triangular(r, np.eye(r.shape[0], dtype=r.dtype))
+    return float(1.0 / np.linalg.norm(r_inv, axis=1).max())
+
+
+def _schauder(r: np.ndarray | None) -> float:
+    """max over prefixes p of sqrt(1 + ||R[:p, p:] R[p:, p:]^-1||^2), or inf."""
+    if r is None:
+        return math.inf
+    constant = 1.0
+    for p in range(1, r.shape[0]):
+        # R22^H X^H = R12^H gives X = R12 R22^-1 without forming the inverse
+        coupling = scipy.linalg.solve_triangular(r[p:, p:], r[:p, p:].conj().T, trans="C")
+        constant = max(constant, math.hypot(1.0, float(np.linalg.norm(coupling, 2))))
+    return constant
+
+
+def _ordered_columns(system: VectorSystem, order) -> np.ndarray:
+    m = system.count
+    if order is None:
+        return system.columns
+    order = list(order)
+    if sorted(order) != list(range(m)):
+        raise CountMismatch(f"order must be a permutation of 0..{m - 1}")
+    return system.columns[:, order]
 
 
 def hilbertian_besselian(system: VectorSystem) -> tuple[float, float]:
@@ -56,44 +115,34 @@ def schauder_basis_constant(system: VectorSystem, order=None) -> float:
 
     The constant is the smallest K with ||sum_{i<=p} a_i f_i|| bounded by
     K ||sum_i a_i f_i|| over all proper prefixes p and coefficient choices;
-    it is order-dependent.  Returns infinity for dependent columns.  The
-    coordinate functionals come from the pseudoinverse of the synthesis
-    matrix restricted to its column space.
+    it is order-dependent.  Returns infinity for dependent columns.  With the
+    columns in evaluation order factored as Q R, the prefix-p projection has
+    norm sqrt(1 + ||R[:p, p:] R[p:, p:]^-1||^2).
     """
-    m = system.count
-    if order is None:
-        order = range(m)
-    order = list(order)
-    if sorted(order) != list(range(m)):
-        raise CountMismatch(f"order must be a permutation of 0..{m - 1}")
-    cols = system.columns[:, order]
-    svals = np.linalg.svd(cols, compute_uv=False)
-    if _rank(svals) < m:
-        return math.inf
-    if m == 1:
-        return 1.0
-    functionals = np.linalg.pinv(cols, rcond=RANK_RTOL)
-    constant = 1.0
-    for p in range(1, m):
-        prefix_map = cols[:, :p] @ functionals[:p, :]
-        constant = max(constant, float(np.linalg.norm(prefix_map, 2)))
-    return constant
+    return _schauder(_factor(_ordered_columns(system, order))[1])
 
 
 def separation_constant(system: VectorSystem) -> float:
-    """min_j distance from f_j to the span of the remaining vectors."""
+    """min_j distance from f_j to the span of the remaining vectors.
+
+    Equal to min_j 1 / ||row j of R^-1|| for independent columns cols = Q R,
+    and exactly 0.0 for dependent ones.
+    """
     m = system.count
     if m < 2:
         raise TooFewVectors("separation needs at least two vectors")
-    best = math.inf
-    for j in range(m):
-        others = np.delete(system.columns, j, axis=1)
-        u, svals, _ = np.linalg.svd(others, full_matrices=False)
-        r = _rank(svals)
-        f_j = system.columns[:, j]
-        resid = f_j - u[:, :r] @ (u[:, :r].conj().T @ f_j)
-        best = min(best, float(np.linalg.norm(resid)))
-    return best
+    if m > system.dim:
+        return 0.0
+    return _separation(_factor(system.columns)[1])
+
+
+def separation_and_norm(system: VectorSystem) -> tuple[float, float]:
+    """(separation, sigma_max) from one factorization.
+
+    A single vector's separation is its norm, as in basis_metrics.
+    """
+    svals, r = _factor(system.columns)
+    return _separation(r), float(svals[0])
 
 
 def _kernel_split(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,17 +204,19 @@ class BasisMetrics:
 
 
 def basis_metrics(system: VectorSystem, order=None) -> BasisMetrics:
-    """Aggregate every constant; a single vector gets separation = its norm."""
-    hilbertian, besselian = hilbertian_besselian(system)
-    if system.count >= 2:
-        separation = separation_constant(system)
-    else:
-        separation = float(np.linalg.norm(system.columns[:, 0]))
+    """Aggregate every constant from one factorization of the ordered columns.
+
+    Separation and the singular values do not depend on the order; a single
+    vector gets separation = its norm.
+    """
+    svals, r = _factor(_ordered_columns(system, order))
+    hilbertian = float(svals[0])
+    besselian = math.inf if r is None else float(1.0 / svals[-1])
     return BasisMetrics(
         riesz=max(hilbertian, besselian),
         hilbertian=hilbertian,
         besselian=besselian,
-        schauder=schauder_basis_constant(system, order),
-        separation=separation,
-        singular_values=tuple(float(s) for s in singular_values(system)),
+        schauder=_schauder(r),
+        separation=_separation(r),
+        singular_values=tuple(float(s) for s in svals),
     )

@@ -69,7 +69,8 @@ def _expect(doc: dict, field: str, kinds) -> object:
     if field not in doc:
         raise SchemaError(f"field {field!r}: missing")
     value = doc[field]
-    if not isinstance(value, kinds) or isinstance(value, bool):
+    # bool is an int subclass: accept it only where a bool is asked for
+    if not isinstance(value, kinds) or isinstance(value, bool) != (kinds is bool):
         raise SchemaError(f"field {field!r}: wrong type {type(value).__name__}")
     return value
 
@@ -212,13 +213,15 @@ def trace_from_json(doc) -> ExtractionTrace:
     try:
         rounds = tuple(
             ExtractionRound(
-                index=entry["round"],
-                examined=tuple(entry["examined"]),
-                residual_norms=tuple(_decode_scalar(x) for x in entry["residual_norms"]),
-                selected=tuple(entry["selected"]),
+                index=_expect(entry, "round", int),
+                examined=tuple(_expect(entry, "examined", list)),
+                residual_norms=tuple(
+                    _decode_scalar(x) for x in _expect(entry, "residual_norms", list)
+                ),
+                selected=tuple(_expect(entry, "selected", list)),
                 certified_bound=_decode_scalar(entry["certified_bound"]),
-                bt_target=entry["bt_target"],
-                normalized=entry["normalized"],
+                bt_target=_expect(entry, "bt_target", int),
+                normalized=_expect(entry, "normalized", bool),
                 coverage=_decode_scalar(entry["coverage"]),
                 rule2_lower_bound=(
                     _decode_scalar(entry["rule2_lower_bound"])
@@ -235,7 +238,7 @@ def trace_from_json(doc) -> ExtractionTrace:
         return ExtractionTrace(
             mode=doc["mode"],
             rounds=rounds,
-            final_subset=tuple(doc["final_subset"]),
+            final_subset=tuple(_expect(doc, "final_subset", list)),
             final_riesz_constant=_decode_scalar(doc["final_riesz_constant"]),
             stop_reason=doc["stop_reason"],
             parameters=parameters,

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
 import framekit as fk
 from framekit.errors import CountMismatch, TooFewVectors
+from framekit.metrics import RANK_RTOL, _rank
 
 DELTA = 0.1
 
@@ -279,3 +281,145 @@ def test_metrics_single_vector_separation_is_norm():
     vs = fk.VectorSystem(np.array([[3.0], [4.0]], dtype=complex))
     metrics = fk.basis_metrics(vs)
     assert metrics.separation == pytest.approx(5.0)
+
+
+# ---------------------------------------------------------------------------
+# parity with the per-vector reference kernels the QR kernels replaced
+
+
+def reference_separation(system):
+    # one SVD of the other m - 1 columns per vector
+    m = system.count
+    best = math.inf
+    for j in range(m):
+        others = np.delete(system.columns, j, axis=1)
+        u, svals, _ = np.linalg.svd(others, full_matrices=False)
+        r = _rank(svals)
+        f_j = system.columns[:, j]
+        resid = f_j - u[:, :r] @ (u[:, :r].conj().T @ f_j)
+        best = min(best, float(np.linalg.norm(resid)))
+    return best
+
+
+def reference_schauder(system, order=None):
+    # pseudoinverse functionals and an n x n prefix projector per prefix
+    m = system.count
+    order = list(range(m)) if order is None else list(order)
+    cols = system.columns[:, order]
+    svals = np.linalg.svd(cols, compute_uv=False)
+    if _rank(svals) < m:
+        return math.inf
+    if m == 1:
+        return 1.0
+    functionals = np.linalg.pinv(cols, rcond=RANK_RTOL)
+    constant = 1.0
+    for p in range(1, m):
+        prefix_map = cols[:, :p] @ functionals[:p, :]
+        constant = max(constant, float(np.linalg.norm(prefix_map, 2)))
+    return constant
+
+
+def assert_separation_parity(vs, expected):
+    # independent columns: both kernels carry a relative error of order
+    # kappa * eps; dependent ones (rank test on svd(cols)) read exactly 0 now
+    svals = np.linalg.svd(vs.columns, compute_uv=False)
+    got = fk.separation_constant(vs)
+    if _rank(svals) < vs.count:
+        assert got == 0.0
+        assert expected <= math.sqrt(vs.count) * RANK_RTOL * svals[0]
+    else:
+        kappa = svals[0] / svals[-1]
+        assert got == pytest.approx(expected, rel=max(1e-9, kappa * 1e-14))
+
+
+def assert_schauder_parity(vs, order=None):
+    expected = reference_schauder(vs, order)
+    got = fk.schauder_basis_constant(vs, order)
+    if math.isinf(expected) or math.isinf(got):
+        assert got == expected
+        return
+    svals = np.linalg.svd(vs.columns, compute_uv=False)
+    assert got == pytest.approx(expected, rel=max(1e-14, svals[0] / svals[-1] * 1e-14))
+
+
+@given(st.integers(0, 10_000))
+def test_separation_and_schauder_match_reference_on_random_systems(seed):
+    vs = random_system(seed)
+    if vs.count >= 2:
+        assert_separation_parity(vs, reference_separation(vs))
+    assert_schauder_parity(vs)
+    assert_schauder_parity(vs, np.random.default_rng(seed).permutation(vs.count))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: fk.perturbed_pairs(80),
+        lambda: fk.weighted_exponentials(0.25, 64, 1),
+        lambda: fk.weighted_exponentials(0.25, 64, -1),
+        lambda: fk.lemma52_block(3, 0.1),
+    ],
+    ids=["perturbed_pairs", "weighted_exponentials+", "weighted_exponentials-", "lemma52_block"],
+)
+def test_separation_and_schauder_match_reference_on_gallery(make):
+    vs = make()
+    assert_separation_parity(vs, reference_separation(vs))
+    assert_schauder_parity(vs)
+    assert_schauder_parity(vs, np.random.default_rng(vs.count).permutation(vs.count))
+
+
+@pytest.mark.parametrize("noise_exponent", range(4, 17))
+def test_separation_and_schauder_match_reference_near_dependence(noise_exponent):
+    # last column = combination of the others + noise of size 10^-k, which
+    # walks the condition number across the RANK_RTOL threshold
+    rng = np.random.default_rng(noise_exponent)
+    cols = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    coef = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    noise = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    cols[:, 3] = cols[:, :3] @ coef + 10.0**-noise_exponent * noise / np.linalg.norm(noise)
+    vs = fk.VectorSystem(cols)
+    assert_separation_parity(vs, reference_separation(vs))
+    assert_schauder_parity(vs)
+    assert_schauder_parity(vs, rng.permutation(4))
+
+
+FACTORIZATIONS = {
+    np.linalg: ("svd", "qr", "eig", "eigh", "eigvals", "eigvalsh", "pinv", "lstsq",
+                "cholesky", "inv", "solve"),
+    scipy.linalg: ("svd", "svdvals", "qr", "eig", "eigh", "eigvals", "eigvalsh", "pinv",
+                   "lstsq", "cholesky", "inv", "solve", "solve_triangular", "lu",
+                   "lu_factor"),
+}
+
+
+@pytest.fixture
+def factorization_shapes(monkeypatch):
+    """Operand shape of every numpy.linalg / scipy.linalg factorization call."""
+    shapes = []
+    for module, names in FACTORIZATIONS.items():
+        for name in names:
+            def counted(*args, _original=getattr(module, name), **kwargs):
+                shapes.append(np.shape(args[0]))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return shapes
+
+
+def test_separation_count_above_dim_needs_no_per_vector_factorization(
+    factorization_shapes,
+):
+    vs = fk.prop53_truncation(2, [0.2, 0.2])
+    assert vs.count > vs.dim
+    factorization_shapes.clear()  # building the system factors its blocks
+    assert fk.separation_constant(vs) == 0.0
+    assert len(factorization_shapes) <= 1
+
+
+@pytest.mark.parametrize("shape", [(12, 5), (5, 9)])
+def test_basis_metrics_factors_the_columns_once(factorization_shapes, shape):
+    rng = np.random.default_rng(3)
+    vs = fk.VectorSystem(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    factorization_shapes.clear()
+    fk.basis_metrics(vs, order=rng.permutation(vs.count))
+    assert factorization_shapes.count(shape) == 1

@@ -77,6 +77,45 @@ def test_trace_round_trip(tmp_path):
     assert back.rounds[0].selected == trace.rounds[0].selected
 
 
+def test_valid_trace_documents_decode_unchanged():
+    for trace in (
+        fk.extract_frame(fk.lemma51(12), 0.25),
+        fk.extract_frame(fk.random_frame(24, 48, seed=1, cond=1e3), 0.25, c=0.8),
+        fk.extract_biorthogonal(fk.perturbed_pairs(8), 0.25),
+    ):
+        doc = json.loads(ser.dumps(ser.trace_to_json(trace)))
+        back = ser.trace_from_json(doc)
+        assert back.rounds == trace.rounds
+        assert ser.dumps(ser.trace_to_json(back)) == ser.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("examined", "abc"),
+        ("selected", "abc"),
+        ("residual_norms", "12"),
+        ("round", "1"),
+        ("round", True),
+        ("bt_target", 2.0),
+        ("normalized", 1),
+    ],
+)
+def test_trace_schema_rejects_wrong_round_field_type(field, value):
+    doc = ser.trace_to_json(fk.extract_frame(fk.lemma51(6), 0.25))
+    doc["rounds"][0][field] = value
+    with pytest.raises(SchemaError, match=field):
+        ser.trace_from_json(doc)
+
+
+@pytest.mark.parametrize("value", ["abc", {"0": 1}, 3])
+def test_trace_schema_rejects_non_list_final_subset(value):
+    doc = ser.trace_to_json(fk.extract_frame(fk.lemma51(6), 0.25))
+    doc["final_subset"] = value
+    with pytest.raises(SchemaError, match="final_subset"):
+        ser.trace_from_json(doc)
+
+
 def test_trace_round_trip_preserves_infinite_bound(tmp_path):
     vs = fk.perturbed_pairs(8)
     trace = fk.extract_biorthogonal(vs, 0.25)
