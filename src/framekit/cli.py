@@ -164,10 +164,23 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+def _plan_field(doc: dict, key: str, convert, default):
+    value = doc.get(key)
+    if value is None:
+        return default
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SchemaError(f"sweep plan: field {key!r} got {value!r}") from exc
+
+
 def _sweep_rows(plan: dict):
     for field in ("generator", "sweep", "extract", "out"):
         if field not in plan:
             raise SchemaError(f"sweep plan: field {field!r} missing")
+    for field, kind in (("generator", dict), ("extract", dict), ("out", str)):
+        if not isinstance(plan[field], kind):
+            raise SchemaError(f"sweep plan: field {field!r} must be a {kind.__name__}")
     sweep = plan["sweep"]
     if not isinstance(sweep, dict) or "name" not in sweep or "values" not in sweep:
         raise SchemaError("sweep plan: 'sweep' needs 'name' and 'values'")
@@ -175,12 +188,16 @@ def _sweep_rows(plan: dict):
     if not isinstance(values, list) or not values:
         raise SchemaError("sweep plan: 'values' must be a nonempty list")
     name = sweep["name"]
+    if not isinstance(name, str):
+        raise SchemaError("sweep plan: 'name' must be a str")
     extract_cfg = plan["extract"]
     mode = extract_cfg.get("mode", "frame")
-    eps = float(extract_cfg.get("eps", 0.25))
-    c = float(extract_cfg.get("c", 0.1))
-    delta = extract_cfg.get("delta")
-    seed = int(plan.get("seed", 0))
+    if mode not in ("frame", "biorthogonal"):
+        raise SchemaError(f"sweep plan: 'mode' must be 'frame' or 'biorthogonal', got {mode!r}")
+    eps = _plan_field(extract_cfg, "eps", float, 0.25)
+    c = _plan_field(extract_cfg, "c", float, 0.1)
+    delta = _plan_field(extract_cfg, "delta", float, None)
+    seed = _plan_field(plan, "seed", int, 0)
     try:
         ordered = sorted(values)
     except TypeError:
@@ -221,10 +238,8 @@ def _cmd_sweep(args) -> int:
     plan = ser._read_json(args.plan)
     if not isinstance(plan, dict):
         raise SchemaError("sweep plan must be a JSON object")
-    out = Path(plan["out"]) if "out" in plan else None
     rows = list(_sweep_rows(plan))
-    if out is None:
-        raise SchemaError("sweep plan: field 'out' missing")
+    out = Path(plan["out"])
     with out.open("w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=SWEEP_HEADER, lineterminator="\n")
         writer.writeheader()

@@ -26,6 +26,12 @@ def _as_column_matrix(values) -> np.ndarray:
     return cols
 
 
+def gram(columns: np.ndarray) -> np.ndarray:
+    """Gram matrix columns^H columns, symmetrized so it is exactly Hermitian."""
+    g = columns.conj().T @ columns
+    return 0.5 * (g + g.conj().T)
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class VectorSystem:
     """An indexed family of vectors f_1..f_m in C^n, one per matrix column."""
@@ -64,8 +70,7 @@ class VectorSystem:
 
     def gram(self) -> np.ndarray:
         """Hermitian Gram matrix of pairwise inner products, shape (count, count)."""
-        g = self.columns.conj().T @ self.columns
-        return 0.5 * (g + g.conj().T)
+        return gram(self.columns)
 
     def subsystem(self, indices) -> "VectorSystem":
         """New system keeping the given column indices, in the given order."""
@@ -183,13 +188,7 @@ def power_transform(
     """
     if exponent == 1:
         return system
-    power = OperatorPower.compute(system, (exponent - 1) / 2.0)
-    cutoff = tolerance * (power.eigenvalues[0] if power.eigenvalues.size else 0.0)
-    if exponent < 1 and np.any(power.eigenvalues <= cutoff):
-        raise NotSpanning(
-            "power transform with exponent < 1 needs lower frame bound above tolerance"
-        )
-    transform = power.matrix(tolerance)
+    transform = OperatorPower.compute(system, (exponent - 1) / 2.0).matrix(tolerance)
     return VectorSystem(transform @ system.columns, system.labels)
 
 
@@ -213,11 +212,7 @@ def canonical_dual_reconstruct(
     vec = np.asarray(f, dtype=np.complex128).reshape(-1)
     if vec.shape[0] != system.dim:
         raise DimensionMismatch(f"expected a dim-{system.dim} vector, got {vec.shape[0]}")
-    power = OperatorPower.compute(system, -1.0)
-    cutoff = tolerance * (power.eigenvalues[0] if power.eigenvalues.size else 0.0)
-    if np.any(power.eigenvalues <= cutoff):
-        raise NotSpanning("canonical dual needs a spanning system")
-    s_inv = power.matrix(tolerance)
+    s_inv = OperatorPower.compute(system, -1.0).matrix(tolerance)
     dual_image = s_inv @ vec
     coeffs = analysis_apply(system, dual_image)
     recon = synthesis_apply(system, coeffs)

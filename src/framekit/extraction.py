@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCE, VectorSystem, coverage_target, frame_report
+from .core import DEFAULT_TOLERANCE, VectorSystem, coverage_target, frame_report, gram
 from .errors import (
     BadParameter,
     GuaranteeEmpty,
@@ -115,123 +115,79 @@ def theoretical_bound(eps: float, separation: float, hilbertian: float, c: float
     return bound_certificate(eps, separation, hilbertian, c).value
 
 
-def _orthonormal_extend(basis: np.ndarray, new_cols: np.ndarray) -> np.ndarray:
-    """Grow an orthonormal basis by the directions of new_cols (re-orthogonalized twice)."""
-    for k in range(new_cols.shape[1]):
-        v = new_cols[:, k].copy()
-        for _ in range(2):
-            if basis.shape[1]:
-                v -= basis @ (basis.conj().T @ v)
-        norm = np.linalg.norm(v)
-        if norm > 1e-14 * max(1.0, np.linalg.norm(new_cols[:, k])):
-            basis = np.concatenate([basis, (v / norm)[:, None]], axis=1)
-    return basis
+def _peel(system: VectorSystem, mode: str, parameters: dict) -> ExtractionTrace:
+    """Shared peeling engine, driven by the parameters it records in the trace.
 
-
-def _hermitian_gram(cols: np.ndarray) -> np.ndarray:
-    gram = cols.conj().T @ cols
-    return 0.5 * (gram + gram.conj().T)
-
-
-def _run_rounds(
-    system: VectorSystem,
-    eps: float,
-    c: float,
-    target: int,
-    total: int,
-    delta: float | None,
-    rule2_coeff: float | None,
-):
-    """Shared peeling loop.  delta gates eligibility (frame mode) when given."""
+    Frame mode (parameters carry "delta") examines only residuals of norm at
+    least delta and stops once too few of them remain.
+    """
+    eps, c, target, total = (parameters[k] for k in ("eps", "c", "target", "total"))
+    delta = parameters.get("delta")
     cols = system.columns
-    n = system.dim
     selected: list[int] = []
-    basis = np.zeros((n, 0), dtype=np.complex128)
     rounds: list[ExtractionRound] = []
-    stop_reason = None
-    for round_idx in range(1, ROUND_CAP + 1):
+    for index in range(1, ROUND_CAP + 1):
         if len(selected) >= target:
             stop_reason = "coverage_reached"
             break
         taken = set(selected)
         remaining = [i for i in range(system.count) if i not in taken]
         resid = cols[:, remaining].copy()
-        if basis.shape[1]:
-            resid -= basis @ (basis.conj().T @ resid)
+        if selected:
+            q = np.linalg.qr(cols[:, selected])[0]
+            resid -= q @ (q.conj().T @ resid)
         norms = np.linalg.norm(resid, axis=0)
+        pool = np.arange(len(remaining))
+        rule2 = None
         if delta is not None:
-            eligible_mask = norms >= delta * (1.0 - 1e-12)
-            if np.count_nonzero(eligible_mask) <= eps * n / 2.0 + 1e-9:
-                rounds.append(
-                    ExtractionRound(
-                        index=round_idx,
-                        examined=tuple(remaining),
-                        residual_norms=tuple(float(x) for x in norms),
-                        selected=(),
-                        certified_bound=0.0,
-                        bt_target=0,
-                        normalized=False,
-                        coverage=len(selected) / total,
-                        rule2_lower_bound=_rule2(rule2_coeff, round_idx, eps, delta, n),
-                    )
+            pool = np.flatnonzero(norms >= delta * (1.0 - 1e-12))
+            # logged (not used for control): d n + (m-1) (d/delta^2) (eps/2) n
+            coeff = c / parameters["upper_bound"] ** 2
+            rule2 = float(coeff * total + (index - 1) * (coeff / delta**2) * (eps / 2.0) * total)
+        chosen, bound, guarantee, normalized = (), 0.0, 0, False
+        if delta is not None and len(pool) <= eps * total / 2.0 + 1e-9:
+            stop_reason = "residual_set_small"
+        else:
+            work = resid[:, pool]
+            floor = float(np.min(norms[pool]))
+            if selected:
+                work, floor, normalized = work / norms[pool], 1.0, True
+            if floor <= 0.0:
+                raise GuaranteeEmpty("all residuals vanished before reaching coverage")
+            guarantee = bt_guarantee_size(len(pool), float(np.linalg.norm(work, 2)), c)
+            order, bounds = greedy_order(gram(work), target - len(selected), stop_below=c * floor)
+            if not order:
+                raise GuaranteeEmpty(
+                    f"round {index}: guarantee size {guarantee} and no certifiable pick"
                 )
-                stop_reason = "residual_set_small"
-                break
-            pool = [remaining[k] for k in range(len(remaining)) if eligible_mask[k]]
-            pool_resid = resid[:, eligible_mask]
-            pool_norms = norms[eligible_mask]
-        else:
-            pool = remaining
-            pool_resid = resid
-            pool_norms = norms
-        if round_idx == 1:
-            work = cols[:, pool]
-            floor = float(np.min(pool_norms))
-            normalized = False
-        else:
-            work = pool_resid / pool_norms
-            floor = 1.0
-            normalized = True
-        if floor <= 0.0:
-            raise GuaranteeEmpty("all residuals vanished before reaching coverage")
-        operator_norm = float(np.linalg.norm(work, 2))
-        guarantee = (
-            bt_guarantee_size(len(pool), operator_norm, c) if operator_norm > 0 else 0
-        )
-        cap = target - len(selected)
-        order, bounds = greedy_order(_hermitian_gram(work), cap, stop_below=c * floor)
-        if not order:
-            raise GuaranteeEmpty(
-                f"round {round_idx}: guarantee size {guarantee} and no certifiable pick"
-            )
-        chosen = [pool[j] for j in order]
-        selected.extend(chosen)
-        basis = _orthonormal_extend(basis, cols[:, chosen])
+            chosen, bound = tuple(remaining[pool[j]] for j in order), float(bounds[-1])
+            selected.extend(chosen)
         rounds.append(
             ExtractionRound(
-                index=round_idx,
+                index=index,
                 examined=tuple(remaining),
                 residual_norms=tuple(float(x) for x in norms),
-                selected=tuple(chosen),
-                certified_bound=float(bounds[-1]),
+                selected=chosen,
+                certified_bound=bound,
                 bt_target=guarantee,
                 normalized=normalized,
                 coverage=len(selected) / total,
-                rule2_lower_bound=_rule2(rule2_coeff, round_idx, eps, delta, n),
+                rule2_lower_bound=rule2,
             )
         )
+        if not chosen:
+            break
     else:
         raise RoundLimit(f"extraction exceeded {ROUND_CAP} rounds")
-    if stop_reason is None:
-        stop_reason = "coverage_reached"
-    return selected, rounds, stop_reason
-
-
-def _rule2(coeff, round_idx, eps, delta, n) -> float | None:
-    # logged (not used for control): d n + (m-1) (d/delta^2) (eps/2) n
-    if coeff is None or delta is None:
-        return None
-    return float(coeff * n + (round_idx - 1) * (coeff / delta**2) * (eps / 2.0) * n)
+    final = tuple(sorted(selected))
+    return ExtractionTrace(
+        mode=mode,
+        rounds=tuple(rounds),
+        final_subset=final,
+        final_riesz_constant=riesz_constant(system.subsystem(final)),
+        stop_reason=stop_reason,
+        parameters=parameters,
+    )
 
 
 def extract_biorthogonal(
@@ -256,31 +212,18 @@ def extract_biorthogonal(
     separation, hilbertian = separation_and_norm(system)
     if separation <= tolerance:
         raise NotSeparated(f"separation {separation:.3e} is at or below tolerance")
-    target = coverage_target(m, eps)
-    selected, rounds, stop_reason = _run_rounds(
-        system, eps, c, target, m, None, None
-    )
-    final = tuple(sorted(selected))
-    final_riesz = riesz_constant(system.subsystem(final))
     certificate = theoretical_bound(eps, min(separation, 1.0), max(hilbertian, 1.0), c)
     parameters = {
         "eps": eps,
         "c": c,
         "separation": separation,
         "hilbertian": hilbertian,
-        "target": target,
+        "target": coverage_target(m, eps),
         "total": m,
         "tolerance": tolerance,
         "theoretical_bound": certificate,
     }
-    return ExtractionTrace(
-        mode="biorthogonal",
-        rounds=tuple(rounds),
-        final_subset=final,
-        final_riesz_constant=final_riesz,
-        stop_reason=stop_reason,
-        parameters=parameters,
-    )
+    return _peel(system, "biorthogonal", parameters)
 
 
 def default_delta(eps: float, lower: float, upper: float, min_norm: float) -> float:
@@ -325,13 +268,6 @@ def extract_frame(
     else:
         delta = default_delta(eps, lower, upper, alpha)
     n = system.dim
-    target = coverage_target(n, eps)
-    rule2_coeff = c / upper**2
-    selected, rounds, stop_reason = _run_rounds(
-        system, eps, c, target, n, delta, rule2_coeff
-    )
-    final = tuple(sorted(selected))
-    final_riesz = riesz_constant(system.subsystem(final))
     parameters = {
         "eps": eps,
         "c": c,
@@ -340,15 +276,8 @@ def extract_frame(
         "upper_bound": upper,
         "min_norm": alpha,
         "max_norm": beta,
-        "target": target,
+        "target": coverage_target(n, eps),
         "total": n,
         "tolerance": tolerance,
     }
-    return ExtractionTrace(
-        mode="frame",
-        rounds=tuple(rounds),
-        final_subset=final,
-        final_riesz_constant=final_riesz,
-        stop_reason=stop_reason,
-        parameters=parameters,
-    )
+    return _peel(system, "frame", parameters)

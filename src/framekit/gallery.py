@@ -97,20 +97,14 @@ def random_frame(n: int, m: int, seed: int, cond: float = 100.0) -> VectorSystem
         raise BadParameter("a spanning system needs m >= n")
     if cond < 1.0:
         raise BadParameter("condition number must be at least 1")
+    if seed < 0:
+        raise BadParameter(f"seed must be nonnegative, got {seed!r}")
     rng = np.random.default_rng(seed)
-    left = _random_unitary(n, rng)
+    left = _random_isometry(n, n, rng)
     right = _random_isometry(m, n, rng)
     svals = np.logspace(0.0, -0.5 * math.log10(cond), n) if cond > 1 else np.ones(n)
     cols = (left * svals) @ right.conj().T
     return VectorSystem(cols)
-
-
-def _random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    phases = np.diagonal(r).copy()
-    phases = phases / np.abs(phases)
-    return q * phases.conj()
 
 
 def _random_isometry(rows: int, cols_: int, rng: np.random.Generator) -> np.ndarray:
@@ -604,42 +598,55 @@ def generate(spec: GallerySpec) -> VectorSystem:
     """Build the system described by the spec.  Deterministic given the spec."""
     p = dict(spec.params)
 
-    def take(name, default=_MISSING):
+    def take(name, convert, default=_MISSING):
         if name in p:
-            return p.pop(name)
-        if default is _MISSING:
+            value = p.pop(name)
+        elif default is _MISSING:
             raise BadParameter(
                 f"gallery kind {spec.kind!r} is missing parameter {name!r}"
             )
-        return default
+        else:
+            value = default
+        try:
+            return convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise BadParameter(
+                f"gallery kind {spec.kind!r}: parameter {name!r} got {value!r}"
+            ) from exc
+
+    def raw(value):
+        return value
+
+    def floats(values):
+        return [float(v) for v in values]
 
     if spec.kind == "orthonormal":
-        build = lambda: orthonormal(int(take("n")))
+        build = lambda: orthonormal(take("n", int))
     elif spec.kind == "lemma51":
-        build = lambda: lemma51(int(take("n")))
+        build = lambda: lemma51(take("n", int))
     elif spec.kind == "duplicated":
-        build = lambda: duplicated(int(take("n")), bool(take("doubleAmbient", False)))
+        build = lambda: duplicated(take("n", int), take("doubleAmbient", bool, False))
     elif spec.kind == "perturbedPairs":
-        build = lambda: perturbed_pairs(int(take("n")))
+        build = lambda: perturbed_pairs(take("n", int))
     elif spec.kind == "weightedExponentials":
         build = lambda: weighted_exponentials(
-            float(take("a")), int(take("N")), take("sign"), bool(take("normalized", True))
+            take("a", float), take("N", int), take("sign", raw), take("normalized", bool, True)
         )
     elif spec.kind == "lemma52Block":
         build = lambda: lemma52_block(
-            int(take("k")), float(take("eps")), float(take("a", 0.45)), int(take("startN", 8))
+            take("k", int), take("eps", float), take("a", float, 0.45), take("startN", int, 8)
         )
     elif spec.kind == "prop53Truncation":
         build = lambda: prop53_truncation(
-            int(take("M")),
-            take("epsilons"),
-            float(take("a", 0.45)),
-            int(take("startN", 8)),
-            bool(take("normalized", True)),
+            take("M", int),
+            take("epsilons", floats),
+            take("a", float, 0.45),
+            take("startN", int, 8),
+            take("normalized", bool, True),
         )
     elif spec.kind == "randomFrame":
         build = lambda: random_frame(
-            int(take("n")), int(take("m")), int(take("seed", 0)), float(take("cond", 100.0))
+            take("n", int), take("m", int), take("seed", int, 0), take("cond", float, 100.0)
         )
     else:  # pragma: no cover - GallerySpec already validates the kind
         raise BadParameter(f"unknown gallery kind {spec.kind!r}")

@@ -4,7 +4,8 @@ Given a system of (near-)unit-norm vectors, find an index subset whose columns
 have a large smallest singular value.  The exhaustive search is the desk-scale
 oracle; the greedy heuristic scales and is compared against the oracle in the
 test suite.  Both are deterministic: ties break toward the lexicographically
-smallest index sequence.
+smallest index sequence, a tie being any candidate whose smallest Gram
+eigenvalue is within TIE_RTOL * max diag(gram) of the best one.
 """
 from __future__ import annotations
 
@@ -14,10 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VectorSystem
+from .core import VectorSystem, gram
 from .errors import BadParameter, BadTarget, TooLarge, ZeroNorm
 
 DEFAULT_SUBSET_GUARD = 1_000_000
+# eigenvalues this close (relative to the largest squared norm) are a tie that
+# roundoff would otherwise decide; the first candidate among them wins
+TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,12 @@ def _min_eig(gram: np.ndarray, idx: list[int]) -> float:
     return float(np.linalg.eigvalsh(sub)[0])
 
 
+def _first_tied_best(lams: np.ndarray, gram: np.ndarray) -> int:
+    """Position of the first candidate whose eigenvalue ties the best one."""
+    scale = float(np.max(np.real(np.diagonal(gram))))
+    return int(np.argmax(lams >= lams.max() - TIE_RTOL * scale))
+
+
 def greedy_order(gram: np.ndarray, limit: int, stop_below: float | None = None):
     """Greedy augmentation order maximizing sigma_min at every step.
 
@@ -84,18 +94,13 @@ def greedy_order(gram: np.ndarray, limit: int, stop_below: float | None = None):
     taken = np.zeros(m, dtype=bool)
     bounds: list[float] = []
     while len(chosen) < limit:
-        best_j = -1
-        best_lam = -math.inf
-        for j in range(m):
-            if taken[j]:
-                continue
-            lam = _min_eig(gram, chosen + [j])
-            if lam > best_lam:
-                best_lam = lam
-                best_j = j
-        bound = math.sqrt(max(best_lam, 0.0))
+        candidates = np.flatnonzero(~taken)
+        lams = np.array([_min_eig(gram, chosen + [j]) for j in candidates])
+        pick = _first_tied_best(lams, gram)
+        bound = math.sqrt(max(lams[pick], 0.0))
         if stop_below is not None and bound < stop_below:
             break
+        best_j = int(candidates[pick])
         chosen.append(best_j)
         taken[best_j] = True
         bounds.append(bound)
@@ -109,9 +114,7 @@ def select_greedy(
     if not 1 <= target_size <= system.count:
         raise BadTarget(f"target size must be in [1, {system.count}]")
     cols = _validated_columns(system, normalize)
-    gram = cols.conj().T @ cols
-    gram = 0.5 * (gram + gram.conj().T)
-    chosen, _ = greedy_order(gram, target_size)
+    chosen, _ = greedy_order(gram(cols), target_size)
     bound = smallest_singular_value(cols[:, chosen])
     return SelectionResult(
         subset=tuple(sorted(chosen)),
@@ -138,16 +141,12 @@ def select_exhaustive(
             f"C({m}, {target_size}) = {n_subsets} exceeds the guard {max_subsets}"
         )
     cols = _validated_columns(system, normalize)
-    gram = cols.conj().T @ cols
-    gram = 0.5 * (gram + gram.conj().T)
-    best_lam = -math.inf
-    best: tuple[int, ...] | None = None
-    for combo in itertools.combinations(range(m), target_size):
-        lam = _min_eig(gram, list(combo))
-        if lam > best_lam:  # strict: first maximizer wins, i.e. lexicographic
-            best_lam = lam
-            best = combo
-    assert best is not None
+    g = gram(cols)
+    combos = itertools.combinations(range(m), target_size)
+    lams = np.fromiter((_min_eig(g, list(combo)) for combo in combos), float, n_subsets)
+    # combinations come in lexicographic order, so the first tied subset wins
+    pick = _first_tied_best(lams, g)
+    best = next(itertools.islice(itertools.combinations(range(m), target_size), pick, None))
     bound = smallest_singular_value(cols[:, list(best)])
     return SelectionResult(
         subset=best,

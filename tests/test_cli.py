@@ -208,6 +208,51 @@ def test_sweep_rejects_bad_plan(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"out": 5},
+        {"extract": []},
+        {"extract": {"eps": "abc"}},
+        {"extract": {"mode": "frame", "delta": [0.1]}},
+        {"extract": {"mode": "nope"}},
+        {"generator": [1]},
+        {"sweep": {"name": ["n"], "values": [4]}},
+        {"seed": "abc"},
+    ],
+)
+def test_sweep_malformed_plan_is_schema_error(tmp_path, capsys, change):
+    plan = {
+        "generator": {"kind": "orthonormal", "n": 4},
+        "sweep": {"name": "n", "values": [4]},
+        "extract": {"mode": "frame", "eps": 0.25},
+        "out": str(tmp_path / "sweep.csv"),
+    }
+    plan.update(change)
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    code, _, err = run_cli(capsys, "sweep", "--plan", str(plan_path))
+    assert code == 2
+    assert json.loads(err)["error"] == "SchemaError"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "lemma51", "n": "abc"},
+        {"kind": "lemma51", "n": [1]},
+        {"kind": "randomFrame", "n": 4, "m": 8, "seed": -1},
+        {"kind": "prop53Truncation", "M": 2, "epsilons": [0.1, "x"]},
+    ],
+)
+def test_gen_bad_parameter_exits_two(tmp_path, capsys, spec):
+    code, _, err = run_cli(
+        capsys, "gen", "--spec", json.dumps(spec), "--out", str(tmp_path / "out.json")
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "BadParameter"
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "framekit.cli", "--help"],

@@ -236,3 +236,146 @@ def test_eps_validation():
         fk.extract_biorthogonal(fk.orthonormal(4), 1.0)
     with pytest.raises(BadParameter):
         fk.extract_biorthogonal(fk.orthonormal(4), 0.5, c=0.0)
+
+
+# ---------------------------------------------------------------------------
+# parity of the peeling engine with the loop it replaced
+
+
+def _old_orthonormal_extend(basis, new_cols):
+    for k in range(new_cols.shape[1]):
+        v = new_cols[:, k].copy()
+        for _ in range(2):
+            if basis.shape[1]:
+                v -= basis @ (basis.conj().T @ v)
+        norm = np.linalg.norm(v)
+        if norm > 1e-14 * max(1.0, np.linalg.norm(new_cols[:, k])):
+            basis = np.concatenate([basis, (v / norm)[:, None]], axis=1)
+    return basis
+
+
+def _old_hermitian_gram(cols):
+    gram = cols.conj().T @ cols
+    return 0.5 * (gram + gram.conj().T)
+
+
+def _old_rule2(coeff, round_idx, eps, delta, n):
+    if coeff is None or delta is None:
+        return None
+    return float(coeff * n + (round_idx - 1) * (coeff / delta**2) * (eps / 2.0) * n)
+
+
+def _old_run_rounds(system, eps, c, target, total, delta, rule2_coeff):
+    """The peeling loop as it was: a basis grown by twice-repeated Gram-Schmidt."""
+    from framekit.errors import GuaranteeEmpty
+    from framekit.selection import bt_guarantee_size, greedy_order
+
+    cols = system.columns
+    n = system.dim
+    selected = []
+    basis = np.zeros((n, 0), dtype=np.complex128)
+    rounds = []
+    for round_idx in range(1, fk.extraction.ROUND_CAP + 1):
+        if len(selected) >= target:
+            return selected, rounds, "coverage_reached"
+        taken = set(selected)
+        remaining = [i for i in range(system.count) if i not in taken]
+        resid = cols[:, remaining].copy()
+        if basis.shape[1]:
+            resid -= basis @ (basis.conj().T @ resid)
+        norms = np.linalg.norm(resid, axis=0)
+        rule2 = _old_rule2(rule2_coeff, round_idx, eps, delta, n)
+        if delta is not None:
+            eligible_mask = norms >= delta * (1.0 - 1e-12)
+            if np.count_nonzero(eligible_mask) <= eps * n / 2.0 + 1e-9:
+                rounds.append(
+                    fk.ExtractionRound(
+                        round_idx, tuple(remaining), tuple(float(x) for x in norms), (),
+                        0.0, 0, False, len(selected) / total, rule2,
+                    )
+                )
+                return selected, rounds, "residual_set_small"
+            pool = [remaining[k] for k in range(len(remaining)) if eligible_mask[k]]
+            pool_resid = resid[:, eligible_mask]
+            pool_norms = norms[eligible_mask]
+        else:
+            pool, pool_resid, pool_norms = remaining, resid, norms
+        if round_idx == 1:
+            work, floor, normalized = cols[:, pool], float(np.min(pool_norms)), False
+        else:
+            work, floor, normalized = pool_resid / pool_norms, 1.0, True
+        if floor <= 0.0:
+            raise GuaranteeEmpty("all residuals vanished before reaching coverage")
+        guarantee = bt_guarantee_size(len(pool), float(np.linalg.norm(work, 2)), c)
+        order, bounds = greedy_order(
+            _old_hermitian_gram(work), target - len(selected), stop_below=c * floor
+        )
+        if not order:
+            raise GuaranteeEmpty(f"round {round_idx}: no certifiable pick")
+        chosen = [pool[j] for j in order]
+        selected.extend(chosen)
+        basis = _old_orthonormal_extend(basis, cols[:, chosen])
+        rounds.append(
+            fk.ExtractionRound(
+                round_idx, tuple(remaining), tuple(float(x) for x in norms), tuple(chosen),
+                float(bounds[-1]), guarantee, normalized, len(selected) / total, rule2,
+            )
+        )
+    raise AssertionError("round cap reached")
+
+
+def old_engine_trace(system, trace):
+    """Rerun the old loop with the parameters the new engine recorded."""
+    p = trace.parameters
+    delta = p.get("delta")
+    coeff = p["c"] / p["upper_bound"] ** 2 if delta is not None else None
+    selected, rounds, stop = _old_run_rounds(
+        system, p["eps"], p["c"], p["target"], p["total"], delta, coeff
+    )
+    final = tuple(sorted(selected))
+    return fk.ExtractionTrace(
+        trace.mode, tuple(rounds), final,
+        fk.riesz_constant(system.subsystem(final)), stop, dict(p),
+    )
+
+
+PARITY_CASES = [
+    ("lemma51-20", lambda: fk.lemma51(20), "frame", 0.8),
+    ("random-48", lambda: fk.random_frame(48, 96, 2, 1e4), "frame", 0.8),
+    ("random-64", lambda: fk.random_frame(64, 128, 3, 1e4), "frame", 0.8),
+    ("pairs-20", lambda: fk.perturbed_pairs(20), "biorthogonal", 0.1),
+]
+
+
+@pytest.mark.parametrize("name,build,mode,c", PARITY_CASES, ids=[p[0] for p in PARITY_CASES])
+def test_engine_matches_old_loop(name, build, mode, c):
+    system = build()
+    extract = fk.extract_frame if mode == "frame" else fk.extract_biorthogonal
+    new = extract(system, 0.25, c)
+    old = old_engine_trace(system, new)
+    assert len(new.rounds) >= 2
+    assert len(new.rounds) == len(old.rounds)
+    for a, b in zip(new.rounds, old.rounds):
+        assert (a.index, a.examined, a.selected) == (b.index, b.examined, b.selected)
+        assert (a.bt_target, a.normalized, a.coverage) == (b.bt_target, b.normalized, b.coverage)
+        assert a.rule2_lower_bound == b.rule2_lower_bound
+        np.testing.assert_allclose(a.residual_norms, b.residual_norms, rtol=0, atol=1e-12)
+        assert a.certified_bound == pytest.approx(b.certified_bound, rel=0, abs=1e-12)
+    assert new.stop_reason == old.stop_reason
+    assert new.final_subset == old.final_subset
+    assert new.final_riesz_constant == pytest.approx(old.final_riesz_constant, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "build,eps",
+    [(lambda: fk.lemma51(40), 0.25), (lambda: fk.random_frame(96, 192, 0), 0.75)],
+    ids=["lemma51", "random"],
+)
+def test_engine_single_round_traces_are_byte_identical(build, eps):
+    from framekit import serialization as ser
+
+    system = build()
+    new = fk.extract_frame(system, eps)
+    assert len(new.rounds) == 1
+    old = old_engine_trace(system, new)
+    assert ser.dumps(ser.trace_to_json(new)) == ser.dumps(ser.trace_to_json(old))

@@ -232,6 +232,22 @@ def test_random_frame_different_seeds_differ():
     assert not np.array_equal(a.columns, b.columns)
 
 
+def test_random_frame_matches_separate_unitary_draw():
+    # reference: the left factor drawn by its own square-unitary helper
+    def haar(rows, cols, rng):
+        g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        q, r = np.linalg.qr(g)
+        phases = np.diagonal(r) / np.abs(np.diagonal(r))
+        return q * phases.conj()
+
+    rng = np.random.default_rng(7)
+    left = haar(5, 5, rng)
+    right = haar(11, 5, rng)
+    svals = np.logspace(0.0, -0.5 * math.log10(30.0), 5)
+    expected = (left * svals) @ right.conj().T
+    assert np.array_equal(fk.random_frame(5, 11, 7, 30.0).columns, expected)
+
+
 def test_generate_dispatch_matches_direct_calls():
     pairs = [
         (fk.GallerySpec("orthonormal", {"n": 4}), fk.orthonormal(4)),

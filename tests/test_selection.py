@@ -30,6 +30,18 @@ def test_exhaustive_duplicated_tie_break():
     assert res.certified_lower_bound == pytest.approx(1.0, abs=1e-12)
 
 
+def test_exhaustive_roundoff_tie_breaks_to_smallest_index():
+    # columns 0..5 of lemma51(6) are symmetric, so several 4-subsets tie exactly
+    assert fk.select_exhaustive(fk.lemma51(6), 4).subset == (0, 1, 2, 6)
+
+
+def test_greedy_roundoff_tie_breaks_to_smallest_index():
+    from framekit.selection import greedy_order
+
+    order, _ = greedy_order(fk.lemma51(10).gram(), 8)
+    assert order == [10, 0, 1, 2, 3, 4, 5, 6]
+
+
 def test_exhaustive_guard():
     vs = unit_norm_instance(0)
     with pytest.raises(TooLarge):
