@@ -23,7 +23,7 @@ from .core import (
 )
 from .errors import FramekitError, SchemaError
 from .extraction import extract_biorthogonal, extract_frame
-from .gallery import generate
+from .gallery import exact_int, generate
 from .metrics import basis_metrics
 from .selection import select_exhaustive, select_greedy
 
@@ -197,7 +197,7 @@ def _sweep_rows(plan: dict):
     eps = _plan_field(extract_cfg, "eps", float, 0.25)
     c = _plan_field(extract_cfg, "c", float, 0.1)
     delta = _plan_field(extract_cfg, "delta", float, None)
-    seed = _plan_field(plan, "seed", int, 0)
+    seed = _plan_field(plan, "seed", exact_int, 0)
     try:
         ordered = sorted(values)
     except TypeError:

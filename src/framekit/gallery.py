@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -594,6 +595,21 @@ class GallerySpec:
 _MISSING = object()
 
 
+def exact_int(value) -> int:
+    """value as an int, never truncated: ints (not bools) and integral floats.
+
+    Raises TypeError or ValueError for anything else; callers turn those into
+    their own error type.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
+        return int(value)
+    return operator.index(value)
+
+
 def generate(spec: GallerySpec) -> VectorSystem:
     """Build the system described by the spec.  Deterministic given the spec."""
     p = dict(spec.params)
@@ -617,36 +633,50 @@ def generate(spec: GallerySpec) -> VectorSystem:
     def raw(value):
         return value
 
+    def flag(value):
+        if not isinstance(value, bool):
+            raise TypeError(f"expected true or false, got {value!r}")
+        return value
+
     def floats(values):
         return [float(v) for v in values]
 
     if spec.kind == "orthonormal":
-        build = lambda: orthonormal(take("n", int))
+        build = lambda: orthonormal(take("n", exact_int))
     elif spec.kind == "lemma51":
-        build = lambda: lemma51(take("n", int))
+        build = lambda: lemma51(take("n", exact_int))
     elif spec.kind == "duplicated":
-        build = lambda: duplicated(take("n", int), take("doubleAmbient", bool, False))
+        build = lambda: duplicated(take("n", exact_int), take("doubleAmbient", flag, False))
     elif spec.kind == "perturbedPairs":
-        build = lambda: perturbed_pairs(take("n", int))
+        build = lambda: perturbed_pairs(take("n", exact_int))
     elif spec.kind == "weightedExponentials":
         build = lambda: weighted_exponentials(
-            take("a", float), take("N", int), take("sign", raw), take("normalized", bool, True)
+            take("a", float),
+            take("N", exact_int),
+            take("sign", raw),
+            take("normalized", flag, True),
         )
     elif spec.kind == "lemma52Block":
         build = lambda: lemma52_block(
-            take("k", int), take("eps", float), take("a", float, 0.45), take("startN", int, 8)
+            take("k", exact_int),
+            take("eps", float),
+            take("a", float, 0.45),
+            take("startN", exact_int, 8),
         )
     elif spec.kind == "prop53Truncation":
         build = lambda: prop53_truncation(
-            take("M", int),
+            take("M", exact_int),
             take("epsilons", floats),
             take("a", float, 0.45),
-            take("startN", int, 8),
-            take("normalized", bool, True),
+            take("startN", exact_int, 8),
+            take("normalized", flag, True),
         )
     elif spec.kind == "randomFrame":
         build = lambda: random_frame(
-            take("n", int), take("m", int), take("seed", int, 0), take("cond", float, 100.0)
+            take("n", exact_int),
+            take("m", exact_int),
+            take("seed", exact_int, 0),
+            take("cond", float, 100.0),
         )
     else:  # pragma: no cover - GallerySpec already validates the kind
         raise BadParameter(f"unknown gallery kind {spec.kind!r}")

@@ -80,6 +80,43 @@ def _first_tied_best(lams: np.ndarray, gram: np.ndarray) -> int:
     return int(np.argmax(lams >= lams.max() - TIE_RTOL * scale))
 
 
+def _bordered_min_eigs(
+    gram: np.ndarray, chosen: list[int], candidates: np.ndarray, diag: np.ndarray, tol: float
+) -> np.ndarray:
+    """Smallest eigenvalue of gram[chosen + [j]] for every candidate j at once.
+
+    With G_S = U diag(mu) U^H and z = U^H gram[chosen, j], that eigenvalue r is
+    the root below mu_0 of the secular equation
+    f(lam) = g_jj - lam - sum_i |z_i|^2 / (mu_i - lam) = 0 (Golub 1973); when z_0
+    vanishes and no root lies below mu_0, r is mu_0 itself.  Weyl's inequality
+    and interlacing give min(mu_0, g_jj) - |z| <= r <= min(mu_0, g_jj).
+    Newton's method on (mu_0 - lam) f(lam), which is convex for lam < mu_0 and
+    has no pole there, climbs from the lower end to r without overshooting, so
+    every iterate stays in that bracket; it stops once a step is below tol.
+    """
+    d = diag[candidates]
+    if not chosen:
+        return d
+    mu, u = np.linalg.eigh(gram[np.ix_(chosen, chosen)])
+    z = u.conj().T @ gram[np.ix_(chosen, candidates)]
+    w = np.real(z * z.conj())
+    hi = np.minimum(mu[0], d)
+    lam = hi - np.sqrt(w.sum(axis=0))
+    active = np.flatnonzero(hi - lam > tol)
+    while active.size:
+        x = lam[active]
+        inv = 1.0 / (mu[:, None] - x)
+        terms = w[:, active] * inv
+        f = d[active] - x - terms.sum(axis=0)
+        df = -1.0 - (terms * inv).sum(axis=0)
+        gap = mu[0] - x
+        step = gap * f / (f - gap * df)
+        lam[active] = np.minimum(x + step, hi[active])
+        # f <= 0 means x already reached r, up to roundoff
+        active = active[(f > 0.0) & (step > tol) & (hi[active] - lam[active] > tol)]
+    return lam
+
+
 def greedy_order(gram: np.ndarray, limit: int, stop_below: float | None = None):
     """Greedy augmentation order maximizing sigma_min at every step.
 
@@ -87,20 +124,28 @@ def greedy_order(gram: np.ndarray, limit: int, stop_below: float | None = None):
     Stops early once the best achievable bound falls under stop_below; by
     eigenvalue interlacing the bounds sequence is nonincreasing, so the
     prefix kept is the largest one certified above the threshold.
+
+    Each step ranks the candidates by a bordered-eigenvalue update of the
+    chosen block (one eigh, see _bordered_min_eigs) and certifies only the
+    winner, with eigvalsh of its Gram block.
     """
     m = gram.shape[0]
     limit = min(limit, m)
     chosen: list[int] = []
     taken = np.zeros(m, dtype=bool)
     bounds: list[float] = []
+    diag = np.real(np.diagonal(gram))
+    tol = 4.0 * np.finfo(float).eps * float(np.max(diag, initial=0.0))
     while len(chosen) < limit:
         candidates = np.flatnonzero(~taken)
-        lams = np.array([_min_eig(gram, chosen + [j]) for j in candidates])
+        lams = _bordered_min_eigs(gram, chosen, candidates, diag, tol)
         pick = _first_tied_best(lams, gram)
-        bound = math.sqrt(max(lams[pick], 0.0))
+        best_j = int(candidates[pick])
+        # the eigenvalue of a 1x1 block is its diagonal entry, exactly as eigvalsh gives it
+        lam = _min_eig(gram, chosen + [best_j]) if chosen else lams[pick]
+        bound = math.sqrt(max(lam, 0.0))
         if stop_below is not None and bound < stop_below:
             break
-        best_j = int(candidates[pick])
         chosen.append(best_j)
         taken[best_j] = True
         bounds.append(bound)

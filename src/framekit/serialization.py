@@ -75,6 +75,13 @@ def _expect(doc: dict, field: str, kinds) -> object:
     return value
 
 
+def _expect_indices(doc: dict, field: str) -> tuple[int, ...]:
+    values = _expect(doc, field, list)
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in values):
+        raise SchemaError(f"field {field!r}: expected a list of integers")
+    return tuple(values)
+
+
 def system_from_json(doc) -> VectorSystem:
     if not isinstance(doc, dict):
         raise SchemaError("system document must be a JSON object")
@@ -214,11 +221,11 @@ def trace_from_json(doc) -> ExtractionTrace:
         rounds = tuple(
             ExtractionRound(
                 index=_expect(entry, "round", int),
-                examined=tuple(_expect(entry, "examined", list)),
+                examined=_expect_indices(entry, "examined"),
                 residual_norms=tuple(
                     _decode_scalar(x) for x in _expect(entry, "residual_norms", list)
                 ),
-                selected=tuple(_expect(entry, "selected", list)),
+                selected=_expect_indices(entry, "selected"),
                 certified_bound=_decode_scalar(entry["certified_bound"]),
                 bt_target=_expect(entry, "bt_target", int),
                 normalized=_expect(entry, "normalized", bool),
@@ -233,14 +240,17 @@ def trace_from_json(doc) -> ExtractionTrace:
         )
         parameters = {
             key: (_decode_scalar(value) if isinstance(value, str) and value in ("inf", "-inf") else value)
-            for key, value in doc["parameters"].items()
+            for key, value in _expect(doc, "parameters", dict).items()
         }
+        mode = doc["mode"]
+        if mode not in ("frame", "biorthogonal"):
+            raise SchemaError(f"field 'mode': expected 'frame' or 'biorthogonal', got {mode!r}")
         return ExtractionTrace(
-            mode=doc["mode"],
+            mode=mode,
             rounds=rounds,
-            final_subset=tuple(_expect(doc, "final_subset", list)),
+            final_subset=_expect_indices(doc, "final_subset"),
             final_riesz_constant=_decode_scalar(doc["final_riesz_constant"]),
-            stop_reason=doc["stop_reason"],
+            stop_reason=_expect(doc, "stop_reason", str),
             parameters=parameters,
         )
     except (KeyError, TypeError) as exc:

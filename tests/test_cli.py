@@ -219,6 +219,9 @@ def test_sweep_rejects_bad_plan(tmp_path, capsys):
         {"generator": [1]},
         {"sweep": {"name": ["n"], "values": [4]}},
         {"seed": "abc"},
+        {"seed": 1.9},
+        {"seed": 0.5},
+        {"seed": True},
     ],
 )
 def test_sweep_malformed_plan_is_schema_error(tmp_path, capsys, change):
@@ -243,6 +246,12 @@ def test_sweep_malformed_plan_is_schema_error(tmp_path, capsys, change):
         {"kind": "lemma51", "n": [1]},
         {"kind": "randomFrame", "n": 4, "m": 8, "seed": -1},
         {"kind": "prop53Truncation", "M": 2, "epsilons": [0.1, "x"]},
+        {"kind": "duplicated", "n": 2, "doubleAmbient": "false"},
+        {"kind": "duplicated", "n": 2, "doubleAmbient": []},
+        {"kind": "weightedExponentials", "a": 0.25, "N": 4, "sign": 1, "normalized": 1},
+        {"kind": "randomFrame", "n": 4, "m": 8, "seed": 1.9},
+        {"kind": "lemma51", "n": 0.5},
+        {"kind": "lemma51", "n": True},
     ],
 )
 def test_gen_bad_parameter_exits_two(tmp_path, capsys, spec):

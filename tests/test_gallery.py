@@ -276,3 +276,12 @@ def test_generate_rejects_bad_input():
         fk.generate(fk.GallerySpec("lemma51", {"n": 4, "junk": 1}))
     with pytest.raises(BadParameter):
         fk.lemma51(0)
+
+
+def test_generate_takes_integral_floats_and_json_booleans():
+    spec = fk.GallerySpec("randomFrame", {"n": 4.0, "m": 8, "seed": 2.0})
+    np.testing.assert_array_equal(fk.generate(spec).columns, fk.random_frame(4, 8, 2).columns)
+    doubled = fk.generate(fk.GallerySpec("duplicated", {"n": 2, "doubleAmbient": True}))
+    assert doubled.dim == 4
+    plain = fk.generate(fk.GallerySpec("duplicated", {"n": 2, "doubleAmbient": False}))
+    assert plain.dim == 2

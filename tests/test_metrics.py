@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -381,29 +380,6 @@ def test_separation_and_schauder_match_reference_near_dependence(noise_exponent)
     assert_separation_parity(vs, reference_separation(vs))
     assert_schauder_parity(vs)
     assert_schauder_parity(vs, rng.permutation(4))
-
-
-FACTORIZATIONS = {
-    np.linalg: ("svd", "qr", "eig", "eigh", "eigvals", "eigvalsh", "pinv", "lstsq",
-                "cholesky", "inv", "solve"),
-    scipy.linalg: ("svd", "svdvals", "qr", "eig", "eigh", "eigvals", "eigvalsh", "pinv",
-                   "lstsq", "cholesky", "inv", "solve", "solve_triangular", "lu",
-                   "lu_factor"),
-}
-
-
-@pytest.fixture
-def factorization_shapes(monkeypatch):
-    """Operand shape of every numpy.linalg / scipy.linalg factorization call."""
-    shapes = []
-    for module, names in FACTORIZATIONS.items():
-        for name in names:
-            def counted(*args, _original=getattr(module, name), **kwargs):
-                shapes.append(np.shape(args[0]))
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-    return shapes
 
 
 def test_separation_count_above_dim_needs_no_per_vector_factorization(

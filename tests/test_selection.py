@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import framekit as fk
+from framekit import extraction
+from framekit import serialization as ser
 from framekit.errors import BadParameter, BadTarget, TooLarge, ZeroNorm
+from framekit.selection import _first_tied_best, _min_eig, greedy_order
 
 
 def unit_norm_instance(seed):
@@ -136,3 +141,79 @@ def test_certified_bound_is_recomputable(seed):
     assert res.certified_lower_bound == pytest.approx(recomputed, abs=1e-12)
     assert res.subset == tuple(sorted(res.subset))
     assert len(res.subset) == k
+
+
+def reference_greedy_order(gram, limit, stop_below=None):
+    """greedy_order as it was before the bordered-eigenvalue update: one
+    eigvalsh per candidate per step.  Test-only parity reference."""
+    m = gram.shape[0]
+    limit = min(limit, m)
+    chosen = []
+    taken = np.zeros(m, dtype=bool)
+    bounds = []
+    while len(chosen) < limit:
+        candidates = np.flatnonzero(~taken)
+        lams = np.array([_min_eig(gram, chosen + [j]) for j in candidates])
+        pick = _first_tied_best(lams, gram)
+        bound = math.sqrt(max(lams[pick], 0.0))
+        if stop_below is not None and bound < stop_below:
+            break
+        best_j = int(candidates[pick])
+        chosen.append(best_j)
+        taken[best_j] = True
+        bounds.append(bound)
+    return chosen, bounds
+
+
+@pytest.mark.parametrize(
+    "make, limit, stop_below",
+    [
+        (lambda: fk.lemma51(10), 11, None),
+        (lambda: fk.lemma51(40), 41, None),
+        (lambda: fk.lemma51(80), 60, None),
+        (lambda: fk.duplicated(20), 40, None),
+        (lambda: fk.duplicated(12, True), 24, None),
+        (lambda: fk.weighted_exponentials(0.25, 32, 1), 65, None),
+        (lambda: fk.weighted_exponentials(0.25, 32, -1), 65, None),
+        (lambda: fk.random_frame(48, 96, 2, 1e4), 96, 0.05),
+        (lambda: fk.perturbed_pairs(30), 60, None),
+    ],
+    ids=["lemma51-10", "lemma51-40", "lemma51-80", "duplicated-20", "duplicated-12-double",
+         "exponentials-plus", "exponentials-minus", "random-stop", "perturbed-pairs-30"],
+)
+def test_greedy_order_matches_reference(make, limit, stop_below):
+    g = make().gram()
+    order, bounds = greedy_order(g, limit, stop_below)
+    ref_order, ref_bounds = reference_greedy_order(g, limit, stop_below)
+    assert order == ref_order
+    assert bounds == ref_bounds
+
+
+def test_greedy_order_matches_reference_on_oracle_corpus():
+    # the acceptance criterion 08 systems, every target size
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        m = int(rng.integers(n, 11))
+        cols = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+        cols /= np.linalg.norm(cols, axis=0)
+        g = fk.VectorSystem(cols).gram()
+        for k in range(1, m + 1):
+            assert greedy_order(g, k) == reference_greedy_order(g, k), (seed, k)
+
+
+def test_multi_round_trace_unchanged_by_bordered_update(monkeypatch):
+    system = fk.random_frame(64, 128, 3, 1e4)
+    trace = fk.extract_frame(system, 0.25, 0.8)
+    assert len(trace.rounds) > 2
+    monkeypatch.setattr(extraction, "greedy_order", reference_greedy_order)
+    reference = fk.extract_frame(system, 0.25, 0.8)
+    assert ser.dumps(ser.trace_to_json(trace)) == ser.dumps(ser.trace_to_json(reference))
+
+
+def test_greedy_order_factors_twice_per_pick(factorization_shapes):
+    g = fk.lemma51(40).gram()
+    factorization_shapes.clear()
+    order, _ = greedy_order(g, 30)
+    assert len(order) == 30
+    assert len(factorization_shapes) <= 2 * len(order)

@@ -116,6 +116,35 @@ def test_trace_schema_rejects_non_list_final_subset(value):
         ser.trace_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("parameters",), []),
+        (("parameters",), "eps"),
+        (("rounds", 0, "examined"), ["a"]),
+        (("rounds", 0, "examined"), [True]),
+        (("rounds", 0, "selected"), [1.5]),
+        (("final_subset",), ["0"]),
+        (("mode",), 5),
+        (("mode",), "sideways"),
+        (("stop_reason",), 5),
+        (("stop_reason",), None),
+    ],
+    ids=["parameters-list", "parameters-str", "examined-str", "examined-bool",
+         "selected-float", "final_subset-str", "mode-int", "mode-unknown",
+         "stop_reason-int", "stop_reason-null"],
+)
+def test_trace_schema_rejects_malformed_fields(path, value):
+    doc = ser.trace_to_json(fk.extract_frame(fk.lemma51(6), 0.25))
+    *parents, key = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    target[key] = value
+    with pytest.raises(SchemaError, match=str(path[-1])):
+        ser.trace_from_json(doc)
+
+
 def test_trace_round_trip_preserves_infinite_bound(tmp_path):
     vs = fk.perturbed_pairs(8)
     trace = fk.extract_biorthogonal(vs, 0.25)
