@@ -258,8 +258,8 @@ def extract_frame(
     lower, upper = report.lower_bound, report.upper_bound
     alpha, beta = report.min_norm, report.max_norm
     if delta_override is not None:
-        if delta_override <= 0.0:
-            raise InfeasibleDelta("delta must be positive")
+        if not delta_override > 0.0:  # also rejects NaN
+            raise InfeasibleDelta(f"delta must be positive, got {delta_override!r}")
         if (delta_override**2 / lower) * (upper / alpha**2) > eps / 2.0 + 1e-12:
             raise InfeasibleDelta(
                 f"delta {delta_override:.6g} violates the feasibility inequality"

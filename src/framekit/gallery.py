@@ -24,6 +24,7 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .core import VectorSystem, frame_operator
 from .errors import BadParameter, EmptyInput, NotFlat, QuadratureFailure
@@ -31,6 +32,7 @@ from .metrics import schauder_basis_constant
 from .selection import smallest_singular_value
 
 FLAT_SIZE_CAP = 512
+SYSTEM_SIZE_CAP = 1 << 24  # dim * count of one synthesis matrix: 256 MiB of complex128
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +42,7 @@ FLAT_SIZE_CAP = 512
 def orthonormal(n: int) -> VectorSystem:
     """The standard orthonormal basis of C^n."""
     _require_positive(n, "n")
+    _require_size(n, n)
     return VectorSystem(np.eye(n, dtype=np.complex128), tuple(f"e{i + 1}" for i in range(n)))
 
 
@@ -50,6 +53,7 @@ def lemma51(n: int) -> VectorSystem:
     conditioned as bases (basis constant growing like sqrt(n)/4).
     """
     _require_positive(n, "n")
+    _require_size(n, n + 1)
     cols = np.zeros((n, n + 1), dtype=np.complex128)
     cols[:, :n] = np.eye(n) - np.full((n, n), 1.0 / n)
     cols[:, n] = 1.0 / math.sqrt(n)
@@ -64,6 +68,7 @@ def duplicated(n: int, double_ambient: bool = False) -> VectorSystem:
     """
     _require_positive(n, "n")
     dim = 2 * n if double_ambient else n
+    _require_size(dim, 2 * n)
     cols = np.zeros((dim, 2 * n), dtype=np.complex128)
     labels = []
     for i in range(n):
@@ -80,6 +85,7 @@ def perturbed_pairs(n: int) -> VectorSystem:
     a pair has Riesz constant of the order of sqrt(2) * n.
     """
     _require_positive(n, "n")
+    _require_size(2 * n, 2 * n)
     cols = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     labels = []
     for i in range(n):
@@ -100,6 +106,7 @@ def random_frame(n: int, m: int, seed: int, cond: float = 100.0) -> VectorSystem
         raise BadParameter("condition number must be at least 1")
     if seed < 0:
         raise BadParameter(f"seed must be nonnegative, got {seed!r}")
+    _require_size(n, m)
     rng = np.random.default_rng(seed)
     left = _random_isometry(n, n, rng)
     right = _random_isometry(m, n, rng)
@@ -208,6 +215,7 @@ def weighted_exponential_gram(a: float, max_frequency: int, sign) -> np.ndarray:
         raise BadParameter("a must lie in [0, 1/2)")
     if max_frequency < 0:
         raise BadParameter("max_frequency must be nonnegative")
+    _require_size(2 * max_frequency + 1, 2 * max_frequency + 1)
     w_exp = 2.0 * signum * a
     max_delta = 2 * max_frequency
     coarse = weight_fourier_integrals(w_exp, max_delta)
@@ -277,19 +285,12 @@ def assemble_block_system(blocks) -> VectorSystem:
     blocks = list(blocks)
     if not blocks:
         raise EmptyInput("need at least one block")
-    dim = sum(b.dim for b in blocks)
-    count = sum(b.count for b in blocks)
-    cols = np.zeros((dim, count), dtype=np.complex128)
-    labeled = all(b.labels is not None for b in blocks)
-    labels: list[str] = []
-    row = col = 0
-    for j, block in enumerate(blocks):
-        cols[row : row + block.dim, col : col + block.count] = block.columns
-        if labeled:
-            labels += [f"b{j}:{lab}" for lab in block.labels]
-        row += block.dim
-        col += block.count
-    return VectorSystem(cols, tuple(labels) if labeled else None)
+    _require_size(sum(b.dim for b in blocks), sum(b.count for b in blocks))
+    cols = block_diag(*(b.columns for b in blocks))
+    labels = None
+    if all(b.labels is not None for b in blocks):
+        labels = tuple(f"b{j}:{lab}" for j, b in enumerate(blocks) for lab in b.labels)
+    return VectorSystem(cols, labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,7 +300,6 @@ class FlatBlock:
     system: VectorSystem
     flat_vector: np.ndarray
     flat_mass: float
-    max_frequency: int
 
 
 def _flat_conditional_basis(budget: float, a: float, start_frequency: int) -> FlatBlock:
@@ -317,7 +317,7 @@ def _flat_conditional_basis(budget: float, a: float, start_frequency: int) -> Fl
         mass = float(
             np.real(np.vdot(flat, frame_operator(system) @ flat))
         )
-        return FlatBlock(system, flat, mass, max_frequency)
+        return FlatBlock(system, flat, mass)
 
 
 def lemma52_block(
@@ -342,12 +342,9 @@ def build_lemma52_block(
     if eps <= 0:
         raise BadParameter("eps must be positive")
     block = _flat_conditional_basis(eps / k, a, start_frequency)
-    q = block.system.count
     system = assemble_block_system([block.system] * k)
-    flat_basis = np.zeros((system.dim, k), dtype=np.complex128)
-    for j in range(k):
-        flat_basis[j * q : (j + 1) * q, j] = block.flat_vector
-    return system, flat_basis, q
+    flat_basis = block_diag(*[block.flat_vector[:, None]] * k)
+    return system, flat_basis, block.system.count
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,9 +353,6 @@ class LayeredBlock:
 
     m: int
     eps: float
-    copy_size: int
-    basis_slice: slice  # conditional-basis columns, global indices
-    complement_slice: slice  # orthonormal complement columns
     flat_frame_slice: slice  # the m+1 tight-frame columns inside the flat subspace
     flat_subspace: np.ndarray  # assembled-dim x m orthonormal basis of the flat subspace
     flat_mass: float
@@ -387,10 +381,11 @@ def build_prop53_truncation(
 
     Layer j (j = 0..depth-1) uses m = j + 2 flat directions: the m = 1 layer of
     the idealized construction degenerates to a zero vector and is skipped.
-    Each layer holds the conditional-basis copies, an orthonormal basis of the
-    complement of the flat subspace, and the m+1 mean-centered tight-frame
-    vectors embedded into the flat subspace.  With ``normalized`` every column
-    is rescaled to unit norm at the end.
+    Each layer holds m diagonal copies of the conditional basis, m copies of
+    an orthonormal basis of the flat vector's complement, and the m+1
+    mean-centered tight-frame vectors embedded into the flat subspace that the
+    m copies of the flat vector span.  With ``normalized`` every column is
+    rescaled to unit norm at the end.
     """
     _require_positive(depth, "depth")
     eps_list = [float(e) for e in epsilons]
@@ -398,67 +393,33 @@ def build_prop53_truncation(
         raise BadParameter(f"expected {depth} epsilon values, got {len(eps_list)}")
     if any(e <= 0 for e in eps_list):
         raise BadParameter("epsilon values must be positive")
-    block_systems: list[VectorSystem] = []
-    layer_data = []
-    for j, eps in enumerate(eps_list):
-        m = j + 2
+    layers: list[VectorSystem] = []
+    flat_bases: list[np.ndarray] = []
+    masses: list[float] = []
+    ms = range(2, depth + 2)
+    for m, eps in zip(ms, eps_list):
         flat = _flat_conditional_basis(eps / m, a, start_frequency)
-        q = flat.system.count
-        n_m = m * q
-        cols = np.zeros((n_m, 2 * n_m + 1), dtype=np.complex128)
-        labels = []
-        # conditional basis: m diagonal copies
-        for copy in range(m):
-            cols[copy * q : (copy + 1) * q, copy * q : (copy + 1) * q] = (
-                flat.system.columns
-            )
-            labels += [f"g{copy * q + i}" for i in range(q)]
-        # orthonormal flat-subspace basis: the per-copy flat vectors
-        flat_basis = np.zeros((n_m, m), dtype=np.complex128)
-        for copy in range(m):
-            flat_basis[copy * q : (copy + 1) * q, copy] = flat.flat_vector
-        # complement: complete the flat vector to an ONB of each copy
-        completion = _complete_to_onb(flat.flat_vector)
-        e_start = n_m
-        idx = 0
-        for copy in range(m):
-            cols[copy * q : (copy + 1) * q, e_start + idx : e_start + idx + q - 1] = (
-                completion
-            )
-            labels += [f"e{idx + i}" for i in range(q - 1)]
-            idx += q - 1
-        # the m+1 tight-frame vectors, expressed in the flat-subspace coordinates
-        f_start = e_start + m * (q - 1)
-        cols[:, f_start : f_start + m + 1] = flat_basis @ lemma51(m).columns
+        n_m = m * flat.system.count
+        _require_size(n_m, 2 * n_m + 1)
+        copies = block_diag(*[flat.system.columns] * m)
+        complement = block_diag(*[_complete_to_onb(flat.flat_vector)] * m)
+        flat_basis = block_diag(*[flat.flat_vector[:, None]] * m)
+        cols = np.hstack([copies, complement, flat_basis @ lemma51(m).columns])
+        labels = [f"g{i}" for i in range(n_m)] + [f"e{i}" for i in range(n_m - m)]
         labels += [f"f{i}" for i in range(m + 1)]
-        block_systems.append(VectorSystem(cols, tuple(labels)))
-        layer_data.append((m, eps, q, flat_basis, flat.flat_mass, n_m))
-    assembled = assemble_block_system(block_systems)
+        layers.append(VectorSystem(cols, tuple(labels)))
+        flat_bases.append(flat_basis)
+        masses.append(flat.flat_mass)
+    assembled = assemble_block_system(layers)
     if normalized:
-        norms = assembled.norms()
-        assembled = VectorSystem(assembled.columns / norms, assembled.labels)
-    blocks: list[LayeredBlock] = []
-    col_off = 0
-    row_off = 0
-    for m, eps, q, flat_basis, flat_mass, n_m in layer_data:
-        total_cols = 2 * n_m + 1
-        global_flat = np.zeros((assembled.dim, m), dtype=np.complex128)
-        global_flat[row_off : row_off + n_m, :] = flat_basis
-        blocks.append(
-            LayeredBlock(
-                m=m,
-                eps=eps,
-                copy_size=q,
-                basis_slice=slice(col_off, col_off + n_m),
-                complement_slice=slice(col_off + n_m, col_off + 2 * n_m - m),
-                flat_frame_slice=slice(col_off + 2 * n_m - m, col_off + total_cols),
-                flat_subspace=global_flat,
-                flat_mass=flat_mass,
-            )
-        )
-        col_off += total_cols
-        row_off += n_m
-    return assembled, tuple(blocks)
+        assembled = VectorSystem(assembled.columns / assembled.norms(), assembled.labels)
+    ends = itertools.accumulate(layer.count for layer in layers)
+    subspaces = np.hsplit(block_diag(*flat_bases), list(itertools.accumulate(ms))[:-1])
+    blocks = tuple(
+        LayeredBlock(m, eps, slice(end - m - 1, end), subspace, mass)
+        for m, eps, end, subspace, mass in zip(ms, eps_list, ends, subspaces, masses)
+    )
+    return assembled, blocks
 
 
 def _complete_to_onb(vector: np.ndarray) -> np.ndarray:
@@ -550,14 +511,15 @@ def audit_prop53(
 
 
 def _flat_witness(block: LayeredBlock, frame_local: np.ndarray, kept) -> np.ndarray:
-    """Unit vector in the flat subspace orthogonal to the kept tight-frame vectors."""
+    """Unit vector in the flat subspace orthogonal to the kept tight-frame vectors.
+
+    Callers keep fewer than m of the m+1 vectors, so the kept columns never span
+    the m-dimensional flat coordinates and the last left singular vector is
+    orthogonal to all of them.
+    """
     kept = list(kept)
     if kept:
-        u, svals, _ = np.linalg.svd(frame_local[:, kept], full_matrices=True)
-        rank = int(np.count_nonzero(svals > 1e-12 * svals[0])) if svals.size else 0
-        coords = u[:, -1] if rank < u.shape[1] else u[:, 0]
-        if rank >= u.shape[1]:  # pragma: no cover - kept < m always leaves a null direction
-            raise BadParameter("no flat witness exists")
+        coords = np.linalg.svd(frame_local[:, kept], full_matrices=True)[0][:, -1]
     else:
         coords = np.zeros(block.m, dtype=np.complex128)
         coords[0] = 1.0
@@ -566,33 +528,6 @@ def _flat_witness(block: LayeredBlock, frame_local: np.ndarray, kept) -> np.ndar
 
 # ---------------------------------------------------------------------------
 # dispatch from a serializable description
-
-
-GALLERY_KINDS = (
-    "orthonormal",
-    "lemma51",
-    "duplicated",
-    "perturbedPairs",
-    "weightedExponentials",
-    "lemma52Block",
-    "prop53Truncation",
-    "randomFrame",
-)
-
-
-@dataclass(frozen=True)
-class GallerySpec:
-    """Serializable description of one gallery system: a kind plus its parameters."""
-
-    kind: str
-    params: dict
-
-    def __post_init__(self):
-        if self.kind not in GALLERY_KINDS:
-            raise BadParameter(f"unknown gallery kind {self.kind!r}")
-
-
-_MISSING = object()
 
 
 def exact_int(value) -> int:
@@ -610,82 +545,90 @@ def exact_int(value) -> int:
     return operator.index(value)
 
 
+def _finite(value) -> float:
+    result = float(value)
+    if not math.isfinite(result):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return result
+
+
+def _finite_list(values) -> list[float]:
+    return [_finite(v) for v in values]
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+# kind -> (builder, its positional parameters as (name, converter[, default]))
+_GALLERY = {
+    "orthonormal": (orthonormal, [("n", exact_int)]),
+    "lemma51": (lemma51, [("n", exact_int)]),
+    "duplicated": (duplicated, [("n", exact_int), ("doubleAmbient", _flag, False)]),
+    "perturbedPairs": (perturbed_pairs, [("n", exact_int)]),
+    "weightedExponentials": (
+        weighted_exponentials,
+        [("a", _finite), ("N", exact_int), ("sign", _normalize_sign), ("normalized", _flag, True)],
+    ),
+    "lemma52Block": (
+        lemma52_block,
+        [("k", exact_int), ("eps", _finite), ("a", _finite, 0.45), ("startN", exact_int, 8)],
+    ),
+    "prop53Truncation": (
+        prop53_truncation,
+        [
+            ("M", exact_int),
+            ("epsilons", _finite_list),
+            ("a", _finite, 0.45),
+            ("startN", exact_int, 8),
+            ("normalized", _flag, True),
+        ],
+    ),
+    "randomFrame": (
+        random_frame,
+        [("n", exact_int), ("m", exact_int), ("seed", exact_int, 0), ("cond", _finite, 100.0)],
+    ),
+}
+GALLERY_KINDS = tuple(_GALLERY)
+
+
+@dataclass(frozen=True)
+class GallerySpec:
+    """Serializable description of one gallery system: a kind plus its parameters."""
+
+    kind: str
+    params: dict
+
+    def __post_init__(self):
+        if self.kind not in GALLERY_KINDS:
+            raise BadParameter(f"unknown gallery kind {self.kind!r}")
+
+
 def generate(spec: GallerySpec) -> VectorSystem:
     """Build the system described by the spec.  Deterministic given the spec."""
-    p = dict(spec.params)
-
-    def take(name, convert, default=_MISSING):
-        if name in p:
-            value = p.pop(name)
-        elif default is _MISSING:
-            raise BadParameter(
-                f"gallery kind {spec.kind!r} is missing parameter {name!r}"
-            )
-        else:
-            value = default
+    build, params = _GALLERY[spec.kind]
+    unknown = sorted(set(spec.params) - {name for name, *_ in params})
+    if unknown:
+        raise BadParameter(f"gallery kind {spec.kind!r} got unknown parameters {unknown}")
+    args = []
+    for name, convert, *default in params:
+        if name not in spec.params and not default:
+            raise BadParameter(f"gallery kind {spec.kind!r} is missing parameter {name!r}")
+        value = spec.params.get(name, *default)
         try:
-            return convert(value)
+            args.append(convert(value))
         except (TypeError, ValueError, OverflowError) as exc:
             raise BadParameter(
                 f"gallery kind {spec.kind!r}: parameter {name!r} got {value!r}"
             ) from exc
+    return build(*args)
 
-    def raw(value):
-        return value
 
-    def flag(value):
-        if not isinstance(value, bool):
-            raise TypeError(f"expected true or false, got {value!r}")
-        return value
-
-    def floats(values):
-        return [float(v) for v in values]
-
-    if spec.kind == "orthonormal":
-        build = lambda: orthonormal(take("n", exact_int))
-    elif spec.kind == "lemma51":
-        build = lambda: lemma51(take("n", exact_int))
-    elif spec.kind == "duplicated":
-        build = lambda: duplicated(take("n", exact_int), take("doubleAmbient", flag, False))
-    elif spec.kind == "perturbedPairs":
-        build = lambda: perturbed_pairs(take("n", exact_int))
-    elif spec.kind == "weightedExponentials":
-        build = lambda: weighted_exponentials(
-            take("a", float),
-            take("N", exact_int),
-            take("sign", raw),
-            take("normalized", flag, True),
-        )
-    elif spec.kind == "lemma52Block":
-        build = lambda: lemma52_block(
-            take("k", exact_int),
-            take("eps", float),
-            take("a", float, 0.45),
-            take("startN", exact_int, 8),
-        )
-    elif spec.kind == "prop53Truncation":
-        build = lambda: prop53_truncation(
-            take("M", exact_int),
-            take("epsilons", floats),
-            take("a", float, 0.45),
-            take("startN", exact_int, 8),
-            take("normalized", flag, True),
-        )
-    elif spec.kind == "randomFrame":
-        build = lambda: random_frame(
-            take("n", exact_int),
-            take("m", exact_int),
-            take("seed", exact_int, 0),
-            take("cond", float, 100.0),
-        )
-    else:  # pragma: no cover - GallerySpec already validates the kind
-        raise BadParameter(f"unknown gallery kind {spec.kind!r}")
-    system = build()
-    if p:
-        raise BadParameter(
-            f"gallery kind {spec.kind!r} got unknown parameters {sorted(p)}"
-        )
-    return system
+def _require_size(dim: int, count: int) -> None:
+    if dim * count > SYSTEM_SIZE_CAP:
+        raise BadParameter(f"system too large: dim * count exceeds {SYSTEM_SIZE_CAP}")
 
 
 def _require_positive(value: int, name: str) -> None:

@@ -252,6 +252,12 @@ def test_sweep_malformed_plan_is_schema_error(tmp_path, capsys, change):
         {"kind": "randomFrame", "n": 4, "m": 8, "seed": 1.9},
         {"kind": "lemma51", "n": 0.5},
         {"kind": "lemma51", "n": True},
+        {"kind": "lemma52Block", "k": 3, "eps": float("nan")},
+        {"kind": "prop53Truncation", "M": 1, "epsilons": [float("inf")]},
+        {"kind": "randomFrame", "n": 4, "m": 8, "cond": float("nan")},
+        {"kind": "lemma51", "n": 1e300},
+        {"kind": "lemma51", "n": 50000},
+        {"kind": "weightedExponentials", "a": 0.25, "N": 1e300, "sign": 1},
     ],
 )
 def test_gen_bad_parameter_exits_two(tmp_path, capsys, spec):
@@ -270,3 +276,39 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "gen" in proc.stdout and "sweep" in proc.stdout
+
+
+def test_extract_nan_delta_exits_two(tmp_path, capsys):
+    sys_path = tmp_path / "l51.json"
+    ser.save_system(fk.lemma51(12), sys_path)
+    code, _, err = run_cli(
+        capsys,
+        "extract",
+        "--in",
+        str(sys_path),
+        "--mode",
+        "frame",
+        "--eps",
+        "0.25",
+        "--delta",
+        "nan",
+        "--out",
+        str(tmp_path / "trace.json"),
+    )
+    assert code == 2
+    assert json.loads(err)["error"] == "InfeasibleDelta"
+
+
+def test_sweep_nan_delta_exits_two(tmp_path, capsys):
+    plan = {
+        "generator": {"kind": "lemma51", "n": 12},
+        "sweep": {"name": "n", "values": [12]},
+        "extract": {"mode": "frame", "eps": 0.25, "delta": float("nan")},
+        "out": str(tmp_path / "sweep.csv"),
+    }
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    assert "NaN" in plan_path.read_text()
+    code, _, err = run_cli(capsys, "sweep", "--plan", str(plan_path))
+    assert code == 2
+    assert json.loads(err)["error"] == "InfeasibleDelta"

@@ -209,6 +209,12 @@ def test_frame_delta_override_checked():
     assert len(ok.final_subset) >= fk.coverage_target(12, 0.25)
 
 
+def test_frame_nan_delta_is_infeasible():
+    # every comparison with NaN is false, so a NaN delta must fail up front
+    with pytest.raises(InfeasibleDelta):
+        fk.extract_frame(fk.lemma51(12), 0.25, 0.1, math.nan)
+
+
 def test_frame_trace_certificate_matches_recomputation():
     vs = fk.random_frame(8, 20, seed=5, cond=50.0)
     trace = fk.extract_frame(vs, 0.25)

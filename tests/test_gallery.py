@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import framekit as fk
+from framekit import gallery
 from framekit.errors import BadParameter, EmptyInput, NotFlat
 
 
@@ -285,3 +286,41 @@ def test_generate_takes_integral_floats_and_json_booleans():
     assert doubled.dim == 4
     plain = fk.generate(fk.GallerySpec("duplicated", {"n": 2, "doubleAmbient": False}))
     assert plain.dim == 2
+
+
+# ---------------------------------------------------------------------------
+# size cap, checked before anything is allocated (only rejected sizes are run)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fk.orthonormal(5000),
+        lambda: fk.lemma51(50000),
+        lambda: fk.lemma51(10**300),
+        lambda: fk.duplicated(3000),
+        lambda: fk.duplicated(2049, double_ambient=True),
+        lambda: fk.perturbed_pairs(3000),
+        lambda: fk.random_frame(2000, 10**5, 0),
+        lambda: fk.weighted_exponentials(0.25, 10**300, 1),
+        lambda: fk.assemble_block_system([fk.orthonormal(64)] * 65),
+    ],
+)
+def test_size_cap_rejects_before_allocating(build):
+    with pytest.raises(BadParameter, match="too large"):
+        build()
+
+
+def test_size_cap_is_checked_before_each_block_layout(monkeypatch):
+    # at flat budget eps/m = 0.3 the conditional basis has 17 vectors, so its
+    # 289-entry Gram matrix passes a 1000-entry cap while the first prop53 layer
+    # (34 x 69) and four lemma52 copies (68 x 68) do not; no block_diag may start
+    def no_layout(*blocks):
+        raise AssertionError("block_diag called past the size cap")
+
+    monkeypatch.setattr(gallery, "SYSTEM_SIZE_CAP", 1000)
+    monkeypatch.setattr(gallery, "block_diag", no_layout)
+    with pytest.raises(BadParameter, match="too large"):
+        fk.prop53_truncation(1, [0.6])
+    with pytest.raises(BadParameter, match="too large"):
+        fk.build_lemma52_block(4, 1.2)
