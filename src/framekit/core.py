@@ -188,8 +188,14 @@ def power_transform(
     """
     if exponent == 1:
         return system
-    transform = OperatorPower.compute(system, (exponent - 1) / 2.0).matrix(tolerance)
-    return VectorSystem(transform @ system.columns, system.labels)
+    return _apply_power(system, OperatorPower.compute(system, (exponent - 1) / 2.0), tolerance)
+
+
+def _apply_power(
+    system: VectorSystem, power: OperatorPower, tolerance: float = DEFAULT_TOLERANCE
+) -> VectorSystem:
+    """Map each vector f_i to S^power.exponent f_i, with S's spectral data in power."""
+    return VectorSystem(power.matrix(tolerance) @ system.columns, system.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,12 +213,20 @@ def canonical_dual_reconstruct(
     """Expand f through the canonical dual: c_i = <S^-1 f, f_i>.
 
     Returns the coefficients, the reconstruction sum_i c_i f_i (equal to f up
-    to roundoff), and <f, S^-1 f>, which equals sum |c_i|^2.
+    to roundoff), and <f, S^-1 f>, which equals sum |c_i|^2.  Each call factors
+    S; ``framekit verify-lemmas`` factors S once per run and applies the same
+    S^-1 to all of its probes.
     """
     vec = np.asarray(f, dtype=np.complex128).reshape(-1)
     if vec.shape[0] != system.dim:
         raise DimensionMismatch(f"expected a dim-{system.dim} vector, got {vec.shape[0]}")
-    s_inv = OperatorPower.compute(system, -1.0).matrix(tolerance)
+    return _dual_reconstruct(system, OperatorPower.compute(system, -1.0).matrix(tolerance), vec)
+
+
+def _dual_reconstruct(
+    system: VectorSystem, s_inv: np.ndarray, vec: np.ndarray
+) -> DualReconstruction:
+    """canonical_dual_reconstruct for a precomputed S^-1 and a complex dim-vector."""
     dual_image = s_inv @ vec
     coeffs = analysis_apply(system, dual_image)
     recon = synthesis_apply(system, coeffs)

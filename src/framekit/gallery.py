@@ -102,8 +102,8 @@ def random_frame(n: int, m: int, seed: int, cond: float = 100.0) -> VectorSystem
     _require_positive(m, "m")
     if m < n:
         raise BadParameter("a spanning system needs m >= n")
-    if cond < 1.0:
-        raise BadParameter("condition number must be at least 1")
+    if not 1.0 <= cond < math.inf:
+        raise BadParameter(f"condition number must be finite and at least 1, got {cond!r}")
     if seed < 0:
         raise BadParameter(f"seed must be nonnegative, got {seed!r}")
     _require_size(n, m)
@@ -339,8 +339,8 @@ def build_lemma52_block(
 ) -> tuple[VectorSystem, np.ndarray, int]:
     """As lemma52_block, also returning the flat-subspace basis (dim x k) and copy size."""
     _require_positive(k, "k")
-    if eps <= 0:
-        raise BadParameter("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise BadParameter(f"eps must be positive and finite, got {eps!r}")
     block = _flat_conditional_basis(eps / k, a, start_frequency)
     system = assemble_block_system([block.system] * k)
     flat_basis = block_diag(*[block.flat_vector[:, None]] * k)
@@ -391,8 +391,8 @@ def build_prop53_truncation(
     eps_list = [float(e) for e in epsilons]
     if len(eps_list) != depth:
         raise BadParameter(f"expected {depth} epsilon values, got {len(eps_list)}")
-    if any(e <= 0 for e in eps_list):
-        raise BadParameter("epsilon values must be positive")
+    if not all(0.0 < e < math.inf for e in eps_list):
+        raise BadParameter(f"epsilon values must be positive and finite, got {eps_list!r}")
     layers: list[VectorSystem] = []
     flat_bases: list[np.ndarray] = []
     masses: list[float] = []

@@ -7,6 +7,7 @@ as a bare JSON-illegal Infinity token.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -49,11 +50,8 @@ def dumps(doc) -> str:
 
 
 def system_to_json(system: VectorSystem) -> dict:
-    pairs = []
-    for i in range(system.count):
-        for k in range(system.dim):
-            z = system.columns[k, i]
-            pairs.append([float(z.real), float(z.imag)])
+    # column-major [re, im] pairs: a C-order copy of the transpose, read as float pairs
+    pairs = np.ascontiguousarray(system.columns.T).view(np.float64).reshape(-1, 2).tolist()
     doc = {
         "v": SCHEMA_VERSION,
         "dim": system.dim,
@@ -98,15 +96,13 @@ def system_from_json(doc) -> VectorSystem:
         raise SchemaError(
             f"field 'columns': expected {dim * count} [re, im] pairs, got {len(pairs)}"
         )
-    cols = np.zeros((dim, count), dtype=np.complex128)
-    for pos, pair in enumerate(pairs):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)
-        ):
-            raise SchemaError(f"field 'columns'[{pos}]: expected an [re, im] pair")
-        cols[pos % dim, pos // dim] = complex(pair[0], pair[1])
+    if not _pairs_well_typed(pairs):
+        raise _pair_error(pairs)
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(pairs), np.float64, count=2 * len(pairs))
+    except OverflowError:
+        raise _pair_error(pairs) from None
+    cols = flat.view(np.complex128).reshape(count, dim).T
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
@@ -116,6 +112,32 @@ def system_from_json(doc) -> VectorSystem:
         return VectorSystem(cols, labels)
     except BadParameter as exc:
         raise SchemaError(str(exc)) from exc
+
+
+def _pairs_well_typed(pairs: list) -> bool:
+    """Every pair is a list of two numbers that are not bools: _pair_error's test, by type sets."""
+    if not all(issubclass(kind, list) for kind in set(map(type, pairs))):
+        return False
+    if set(map(len, pairs)) != {2}:
+        return False
+    entry_kinds = set(map(type, itertools.chain.from_iterable(pairs)))
+    return all(issubclass(k, (int, float)) and not issubclass(k, bool) for k in entry_kinds)
+
+
+def _pair_error(pairs: list) -> SchemaError:
+    """The error for the first pair that is malformed or has an entry too large for a double."""
+    for pos, pair in enumerate(pairs):
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)
+        ):
+            return SchemaError(f"field 'columns'[{pos}]: expected an [re, im] pair")
+        try:
+            complex(pair[0], pair[1])
+        except OverflowError:
+            return SchemaError(f"field 'columns'[{pos}]: entry too large for a double")
+    return SchemaError("field 'columns': malformed [re, im] pairs")
 
 
 def save_system(system: VectorSystem, path) -> None:
@@ -135,6 +157,8 @@ def _read_json(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal over the int-to-str digit limit
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

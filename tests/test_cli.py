@@ -7,7 +7,15 @@ import pytest
 
 import framekit as fk
 from framekit import serialization as ser
-from framekit.cli import SWEEP_HEADER, main
+from framekit.core import random_unit_vector
+from framekit.cli import (
+    SWEEP_HEADER,
+    VERIFY_PROBES,
+    VERIFY_SEED,
+    VERIFY_TOLERANCE,
+    _run_verifications,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -147,6 +155,81 @@ def test_verify_lemmas_rejects_non_spanning(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify-lemmas", "--in", str(path))
     assert code == 2
     assert json.loads(err)["error"] == "NotSpanning"
+
+
+def reference_run_verifications(system, canonical: bool) -> list[dict]:
+    """The former verify-lemmas loop: every probe factors S again, and so does --canonical."""
+    checks: list[dict] = []
+
+    def record(name: str, ok: bool, value: float) -> None:
+        checks.append({"name": name, "ok": bool(ok), "value": ser._encode_scalar(value)})
+
+    slacks = fk.check_counting_lemmas(system)
+    record("dimension_slack", slacks.dimension_slack >= -VERIFY_TOLERANCE, slacks.dimension_slack)
+    record(
+        "cardinality_slack",
+        slacks.cardinality_slack >= -VERIFY_TOLERANCE,
+        slacks.cardinality_slack,
+    )
+    rng = np.random.default_rng(VERIFY_SEED)
+    worst_recon = 0.0
+    worst_energy = 0.0
+    for _ in range(VERIFY_PROBES):
+        probe = random_unit_vector(system.dim, rng)
+        dual = fk.canonical_dual_reconstruct(system, probe)
+        worst_recon = max(worst_recon, float(np.linalg.norm(dual.reconstruction - probe)))
+        energy = float(np.sum(np.abs(dual.coefficients) ** 2))
+        worst_energy = max(
+            worst_energy,
+            abs(dual.parseval_scalar - energy) / max(1.0, abs(dual.parseval_scalar)),
+        )
+    record("dual_reconstruction", worst_recon <= VERIFY_TOLERANCE, worst_recon)
+    record("dual_energy_identity", worst_energy <= VERIFY_TOLERANCE, worst_energy)
+    if canonical:
+        tight = fk.frame_report(fk.power_transform(system, 0.0), VERIFY_TOLERANCE)
+        gap = tight.upper_bound - tight.lower_bound
+        record("canonical_tightness", tight.is_tight, gap)
+    return checks
+
+
+VERIFY_SYSTEMS = [
+    pytest.param(lambda: fk.lemma51(10), id="lemma51"),
+    pytest.param(lambda: fk.random_frame(6, 12, 1), id="randomFrame"),
+    pytest.param(lambda: fk.random_frame(4, 8, seed=1, cond=1e9), id="randomFrame-cond1e9"),
+    pytest.param(lambda: fk.perturbed_pairs(5), id="perturbedPairs"),
+    pytest.param(lambda: fk.lemma52_block(2, 0.3), id="lemma52Block"),
+    pytest.param(lambda: fk.prop53_truncation(1, [0.3]), id="prop53Truncation"),
+    pytest.param(lambda: fk.weighted_exponentials(0.25, 8, -1), id="weightedExponentials"),
+]
+
+
+@pytest.mark.parametrize("canonical", [False, True])
+@pytest.mark.parametrize("build", VERIFY_SYSTEMS)
+def test_verifications_match_one_factorization_per_probe(build, canonical):
+    system = build()
+    assert _run_verifications(system, canonical) == reference_run_verifications(system, canonical)
+
+
+@pytest.mark.parametrize("canonical,budget", [(False, 2), (True, 3)])
+def test_verifications_factor_the_frame_operator_once(factorization_shapes, canonical, budget):
+    # frame_report's eigvalsh, one eigh of S shared by all probes, and with
+    # --canonical the eigvalsh of the transformed system's frame operator
+    system = fk.generate(fk.GallerySpec("prop53Truncation", {"M": 2, "epsilons": [0.2, 0.2]}))
+    assert (system.dim, system.count) == (165, 332)
+    factorization_shapes.clear()
+    _run_verifications(system, canonical)
+    assert factorization_shapes.count((165, 165)) <= budget
+    assert len(factorization_shapes) <= budget
+
+
+def test_verify_lemmas_rejects_an_integer_too_large_for_a_double(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    path.write_text('{"v": 1, "dim": 1, "count": 1, "columns": [[1' + "0" * 400 + ", 0]]}")
+    code, out, err = run_cli(capsys, "verify-lemmas", "--in", str(path))
+    assert (code, out) == (2, "")
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "SchemaError"
+    assert diagnostic["message"] == "field 'columns'[0]: entry too large for a double"
 
 
 def test_malformed_file_exits_two(tmp_path, capsys):

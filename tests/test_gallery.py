@@ -324,3 +324,22 @@ def test_size_cap_is_checked_before_each_block_layout(monkeypatch):
         fk.prop53_truncation(1, [0.6])
     with pytest.raises(BadParameter, match="too large"):
         fk.build_lemma52_block(4, 1.2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fk.lemma52_block(3, math.nan),
+        lambda: fk.lemma52_block(3, math.inf),
+        lambda: fk.build_lemma52_block(2, math.nan),
+        lambda: fk.prop53_truncation(1, [math.inf]),
+        lambda: fk.prop53_truncation(2, [0.2, math.nan]),
+        lambda: fk.random_frame(4, 8, 0, math.nan),
+        lambda: fk.random_frame(4, 8, 0, math.inf),
+    ],
+)
+def test_builders_reject_non_finite_parameters(build):
+    # NaN fails every comparison and Infinity passes a one-sided one, so the
+    # builders test for the finite range itself, not only its lower end
+    with pytest.raises(BadParameter, match="finite"):
+        build()

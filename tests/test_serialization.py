@@ -193,3 +193,141 @@ def test_gallery_spec_round_trip():
 def test_gallery_spec_rejects_unknown_kind():
     with pytest.raises(SchemaError):
         ser.gallery_spec_from_json({"kind": "mystery"})
+
+
+# ---------------------------------------------------------------------------
+# parity of the array-speed system codec with the per-entry codec it replaced
+
+
+def reference_system_to_json(system):
+    pairs = []
+    for i in range(system.count):
+        for k in range(system.dim):
+            z = system.columns[k, i]
+            pairs.append([float(z.real), float(z.imag)])
+    doc = {"v": 1, "dim": system.dim, "count": system.count, "columns": pairs}
+    if system.labels is not None:
+        doc["labels"] = list(system.labels)
+    return doc
+
+
+def reference_columns_from_json(doc):
+    """The former decoding loop of system_from_json, after its header checks."""
+    dim, count, pairs = doc["dim"], doc["count"], doc["columns"]
+    cols = np.zeros((dim, count), dtype=np.complex128)
+    for pos, pair in enumerate(pairs):
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)
+        ):
+            raise SchemaError(f"field 'columns'[{pos}]: expected an [re, im] pair")
+        cols[pos % dim, pos // dim] = complex(pair[0], pair[1])
+    return cols
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+SUBNORMAL = 5e-324
+CODEC_ENTRIES = [0.0, -0.0, SUBNORMAL, -SUBNORMAL, 2.2250738585072014e-308 / 3, 1.0, -2.5,
+                 1.7976931348623157e308, 0.1]
+
+
+def codec_systems():
+    entries = np.array(CODEC_ENTRIES)
+    grid = entries[:, None] + 1j * entries[None, ::-1]  # 9 x 9, every sign and scale pair
+    signed = np.array([[complex(0.0, -0.0), complex(-0.0, 0.0)], [complex(-0.0, -0.0), 1j]])
+    return [
+        fk.VectorSystem(grid),
+        fk.VectorSystem(grid[:4, :7], tuple(f"col {i}" for i in range(7))),
+        fk.VectorSystem(signed, ("a", "b")),
+        fk.random_frame(6, 11, 3),
+        fk.lemma52_block(2, 0.3),
+    ]
+
+
+@pytest.mark.parametrize("system", codec_systems(), ids=lambda s: repr(s))
+def test_system_codec_matches_per_entry_codec(system):
+    doc = ser.system_to_json(system)
+    assert doc == reference_system_to_json(system)
+    assert ser.dumps(doc) == ser.dumps(reference_system_to_json(system))
+    text_doc = json.loads(ser.dumps(doc))
+    back = ser.system_from_json(text_doc)
+    assert same_bits(back.columns, reference_columns_from_json(text_doc))
+    assert same_bits(back.columns, system.columns)
+    assert back.labels == system.labels
+
+
+pair_entries = st.one_of(
+    finite_doubles,
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.sampled_from([0, -0.0, SUBNORMAL, -SUBNORMAL, 2**53 + 1, -(2**63) - 1]),
+)
+
+
+@given(st.integers(1, 3), st.data())
+def test_system_decoder_matches_per_entry_decoder(dim, data):
+    count = data.draw(st.integers(1, 3))
+    pairs = data.draw(
+        st.lists(st.lists(pair_entries, min_size=2, max_size=2), min_size=dim * count,
+                 max_size=dim * count)
+    )
+    doc = {"v": 1, "dim": dim, "count": count, "columns": pairs}
+    assert same_bits(ser.system_from_json(doc).columns, reference_columns_from_json(doc))
+
+
+MALFORMED_PAIRS = [
+    (0, "x"),
+    (0, None),
+    (1, 1.0),
+    (2, (1.0, 2.0)),
+    (3, {"re": 1.0, "im": 0.0}),
+    (4, [1.0]),
+    (5, [1.0, 2.0, 3.0]),
+    (5, []),
+    (0, [True, 0.0]),
+    (3, [0.0, False]),
+    (4, ["1.5", 0.0]),
+    (1, [None, 0.0]),
+    (2, [[1.0], 0.0]),
+    (5, [1.0, {"x": 1}]),
+]
+
+
+@pytest.mark.parametrize("pos,bad", MALFORMED_PAIRS)
+def test_system_decoder_reports_the_same_malformed_pair(pos, bad):
+    doc = ser.system_to_json(fk.random_frame(2, 3, 0))
+    doc["columns"][pos] = bad
+    if pos < 5:
+        doc["columns"][5] = [0.0, "later"]  # the first malformed pair is the one named
+    with pytest.raises(SchemaError) as expected:
+        reference_columns_from_json(doc)
+    with pytest.raises(SchemaError) as got:
+        ser.system_from_json(doc)
+    assert str(got.value) == str(expected.value)
+    assert f"'columns'[{pos}]" in str(got.value)
+
+
+def test_system_decoder_accepts_number_subclasses_like_before():
+    doc = ser.system_to_json(fk.orthonormal(2))
+    doc["columns"][1] = [np.float64(0.5), np.float64(-0.0)]
+    assert same_bits(ser.system_from_json(doc).columns, reference_columns_from_json(doc))
+
+
+def test_system_decoder_rejects_an_integer_too_large_for_a_double():
+    doc = {"v": 1, "dim": 2, "count": 1, "columns": [[1, 0], [0, -(10**400)]]}
+    with pytest.raises(SchemaError, match=r"'columns'\[1\]: entry too large"):
+        ser.system_from_json(doc)
+    # the first fault in pair order is the one named, whichever its kind
+    doc.update(count=3, columns=[[1, 0], [10**400, 0], [True, 0.0], [0, 0], [0, 0], [0, 0]])
+    with pytest.raises(SchemaError, match=r"'columns'\[1\]: entry too large"):
+        ser.system_from_json(doc)
+
+
+def test_read_json_rejects_an_integer_over_the_digit_limit(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"v": 1, "dim": 1, "count": 1, "columns": [[1' + "0" * 5000 + ", 0]]}")
+    with pytest.raises(SchemaError, match="invalid JSON"):
+        ser.load_system(path)
