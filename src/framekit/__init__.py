@@ -81,13 +81,13 @@ from .metrics import (
     schauder_basis_constant,
     separation_constant,
     singular_values,
+    smallest_singular_value,
 )
 from .selection import (
     SelectionResult,
     bt_guarantee_size,
     select_exhaustive,
     select_greedy,
-    smallest_singular_value,
 )
 
 __version__ = "0.1.0"

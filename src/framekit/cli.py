@@ -57,15 +57,14 @@ def _diagnostic(kind: str, message: str) -> None:
 
 
 def _load_spec_argument(value: str) -> dict:
-    path = Path(value)
-    if path.exists():
-        return ser._read_json(path)
-    text = value.strip()
-    if text.startswith("{"):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"inline spec: invalid JSON: {exc.msg}") from exc
+    try:
+        is_file = Path(value).exists()
+    except OSError:  # e.g. an inline spec longer than the file-name limit
+        is_file = False
+    if is_file:
+        return ser._read_json(value)
+    if value.strip().startswith("{"):
+        return ser._parse_json(value, "inline spec")
     raise SchemaError(f"spec {value!r} is neither an existing file nor inline JSON")
 
 

@@ -28,8 +28,7 @@ from scipy.linalg import block_diag
 
 from .core import VectorSystem, frame_operator
 from .errors import BadParameter, EmptyInput, NotFlat, QuadratureFailure
-from .metrics import schauder_basis_constant
-from .selection import smallest_singular_value
+from .metrics import schauder_basis_constant, smallest_singular_value
 
 FLAT_SIZE_CAP = 512
 SYSTEM_SIZE_CAP = 1 << 24  # dim * count of one synthesis matrix: 256 MiB of complex128
@@ -312,7 +311,7 @@ def _flat_conditional_basis(budget: float, a: float, start_frequency: int) -> Fl
         except NotFlat:
             if 2 * max_frequency + 1 > FLAT_SIZE_CAP:
                 raise
-            max_frequency *= 2
+            max_frequency = max(1, 2 * max_frequency)
             continue
         mass = float(
             np.real(np.vdot(flat, frame_operator(system) @ flat))
@@ -339,6 +338,7 @@ def build_lemma52_block(
 ) -> tuple[VectorSystem, np.ndarray, int]:
     """As lemma52_block, also returning the flat-subspace basis (dim x k) and copy size."""
     _require_positive(k, "k")
+    _require_size(k, k)  # k copies of a block at least 1 x 1, checked before eps / k
     if not 0.0 < eps < math.inf:
         raise BadParameter(f"eps must be positive and finite, got {eps!r}")
     block = _flat_conditional_basis(eps / k, a, start_frequency)
@@ -466,47 +466,27 @@ def audit_prop53(
         frame_local = lemma51(m).columns
         for size in range(m + 2):
             for kept in itertools.combinations(range(m + 1), size):
+                kept_cols = [frame_cols[i] for i in kept]
                 if size == m + 1:
-                    sigma = smallest_singular_value(
-                        system.columns[:, [frame_cols[i] for i in kept]]
-                    )
-                    audits.append(
-                        PatternAudit(m, kept, "dependent", sigma, 1e-8, sigma <= 1e-8)
-                    )
+                    sigma = smallest_singular_value(system.columns[:, kept_cols])
+                    audits.append(PatternAudit(m, kept, "dependent", sigma, 1e-8, sigma <= 1e-8))
                 elif size == m:
-                    constant = schauder_basis_constant(
-                        system.subsystem([frame_cols[i] for i in kept])
-                    )
+                    constant = schauder_basis_constant(system.subsystem(kept_cols))
                     threshold = math.sqrt(max(m - 2, 0)) / 4.0
                     audits.append(
                         PatternAudit(
-                            m,
-                            kept,
-                            "basis_constant",
-                            constant,
-                            threshold,
+                            m, kept, "basis_constant", constant, threshold,
                             constant >= threshold - 1e-12,
                         )
                     )
                 else:
                     witness = _flat_witness(block, frame_local, kept)
-                    dropped = [frame_cols[i] for i in range(m + 1) if i not in kept]
-                    allowed = [
-                        i for i in range(system.count) if i not in set(dropped)
-                    ]
-                    mass = float(
-                        np.sum(
-                            np.abs(
-                                system.columns[:, allowed].conj().T @ witness
-                            )
-                            ** 2
-                        )
-                    )
-                    audits.append(
-                        PatternAudit(
-                            m, kept, "flat_mass", mass, block.eps, mass <= block.eps + 1e-12
-                        )
-                    )
+                    dropped = set(frame_cols) - set(kept_cols)
+                    allowed = [i for i in range(system.count) if i not in dropped]
+                    inner = system.columns[:, allowed].conj().T @ witness
+                    mass = float(np.sum(np.abs(inner) ** 2))
+                    ok = mass <= block.eps + 1e-12
+                    audits.append(PatternAudit(m, kept, "flat_mass", mass, block.eps, ok))
     return tuple(audits)
 
 

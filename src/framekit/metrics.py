@@ -17,7 +17,8 @@ cols = Q R of the m independent columns, in the m x m coordinates of R:
 
 The singular values of R are those of cols.  Columns that are dependent (more
 vectors than dimensions, or rank below m at relative tolerance RANK_RTOL) have
-separation exactly 0 and infinite Besselian and Schauder constants.
+separation exactly 0 and infinite Besselian and Schauder constants.  Every
+singular value and rank decision here comes from that one kernel, _factor.
 """
 from __future__ import annotations
 
@@ -31,11 +32,6 @@ from .core import VectorSystem
 from .errors import CountMismatch, TooFewVectors
 
 RANK_RTOL = 1e-12
-
-
-def singular_values(system: VectorSystem) -> np.ndarray:
-    """Singular values of the synthesis matrix, nonincreasing."""
-    return np.linalg.svd(system.columns, compute_uv=False)
 
 
 def _rank(svals: np.ndarray) -> int:
@@ -58,6 +54,29 @@ def _factor(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     if _rank(svals) < m:
         return svals, None
     return svals, r
+
+
+def singular_values(system: VectorSystem) -> np.ndarray:
+    """Singular values of the synthesis matrix, nonincreasing."""
+    return _factor(system.columns)[0]
+
+
+def smallest_singular_value(columns: np.ndarray) -> float:
+    """sigma_min of the columns as a map from coefficient space.
+
+    Zero when there are more columns than rows.  Read off the columns'
+    factorization, not the Gram matrix, so values near zero carry no
+    sqrt-amplified eigenvalue dust.
+    """
+    k = columns.shape[1]
+    if k > columns.shape[0]:
+        return 0.0
+    return float(_factor(columns)[0][k - 1])
+
+
+def _hilbertian_besselian(svals: np.ndarray, r: np.ndarray | None) -> tuple[float, float]:
+    """(sigma_max, 1/sigma_min) from _factor's output; Besselian inf for dependent columns."""
+    return float(svals[0]), (math.inf if r is None else float(1.0 / svals[-1]))
 
 
 def _separation(r: np.ndarray | None) -> float:
@@ -97,11 +116,7 @@ def hilbertian_besselian(system: VectorSystem) -> tuple[float, float]:
     Bess * ||sum a_i f_i|| >= ||a|| and equals 1/sigma_min, or infinity when
     the columns are linearly dependent.
     """
-    svals = singular_values(system)
-    hilbertian = float(svals[0])
-    if _rank(svals) < system.count:
-        return hilbertian, math.inf
-    return hilbertian, float(1.0 / svals[system.count - 1])
+    return _hilbertian_besselian(*_factor(system.columns))
 
 
 def riesz_constant(system: VectorSystem) -> float:
@@ -210,8 +225,7 @@ def basis_metrics(system: VectorSystem, order=None) -> BasisMetrics:
     vector gets separation = its norm.
     """
     svals, r = _factor(_ordered_columns(system, order))
-    hilbertian = float(svals[0])
-    besselian = math.inf if r is None else float(1.0 / svals[-1])
+    hilbertian, besselian = _hilbertian_besselian(svals, r)
     return BasisMetrics(
         riesz=max(hilbertian, besselian),
         hilbertian=hilbertian,

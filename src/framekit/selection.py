@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import VectorSystem, gram
 from .errors import BadParameter, BadTarget, TooLarge, ZeroNorm
+from .metrics import smallest_singular_value
 
 DEFAULT_SUBSET_GUARD = 1_000_000
 # eigenvalues this close (relative to the largest squared norm) are a tie that
@@ -44,20 +45,6 @@ def bt_guarantee_size(count: int, operator_norm: float, c: float) -> int:
     if not 0.0 < c <= 1.0:
         raise BadParameter("c must lie in (0, 1]")
     return int(math.floor(c * count / operator_norm**2))
-
-
-def smallest_singular_value(columns: np.ndarray) -> float:
-    """sigma_min of the given columns as a map from coefficient space.
-
-    Zero when there are more columns than rows.  Computed from the SVD of the
-    columns (not the Gram matrix) so values near zero carry no sqrt-amplified
-    eigenvalue dust.
-    """
-    k = columns.shape[1]
-    if k > columns.shape[0]:
-        return 0.0
-    svals = np.linalg.svd(columns, compute_uv=False)
-    return float(svals[k - 1])
 
 
 def _validated_columns(system: VectorSystem, normalize: bool) -> np.ndarray:

@@ -37,7 +37,10 @@ def _decode_scalar(x) -> float:
         return -math.inf
     if not isinstance(x, (int, float)) or isinstance(x, bool):
         raise SchemaError(f"expected a number or 'inf', got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise SchemaError("entry too large for a double") from None
 
 
 def dumps(doc) -> str:
@@ -150,15 +153,22 @@ def load_system(path) -> VectorSystem:
 
 def _read_json(path):
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    return _parse_json(text, path)
+
+
+def _parse_json(text: str, source) -> object:
+    """json.loads that rejects every malformed text with a SchemaError naming source.
+
+    Besides syntax errors, json.loads raises ValueError for an integer literal
+    over the int-to-str digit limit and RecursionError for deep nesting.
+    """
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal over the int-to-str digit limit
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError(f"{source}: invalid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,30 @@ def test_malformed_file_exits_two(tmp_path, capsys):
     assert json.loads(err)["error"] == "SchemaError"
 
 
+def test_gen_accepts_an_inline_spec_longer_than_a_file_name(tmp_path, capsys):
+    # Path(spec).exists() raised OSError: File name too long past 255 bytes
+    spec = '{"kind": "lemma51",' + " " * 260 + '"n": 4}'
+    assert len(spec.encode()) == 286
+    out = tmp_path / "l51.json"
+    code, _, err = run_cli(capsys, "gen", "--spec", spec, "--out", str(out))
+    assert (code, err) == (0, "")
+    assert ser.load_system(out).count == 5
+
+
+@pytest.mark.parametrize(
+    "command", [["analyze", "--in"], ["gen", "--out", "x.json", "--spec"], ["sweep", "--plan"]]
+)
+def test_input_that_is_not_utf8_exits_two(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"v": 1}'.encode("utf-16-le"))
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert (code, out) == (2, "")
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "SchemaError"
+    assert "utf-8" in diagnostic["message"]
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", "--in", str(tmp_path / "nope.json"))
     assert code == 2

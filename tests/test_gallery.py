@@ -343,3 +343,16 @@ def test_builders_reject_non_finite_parameters(build):
     # builders test for the finite range itself, not only its lower end
     with pytest.raises(BadParameter, match="finite"):
         build()
+
+
+@pytest.mark.parametrize("build", [fk.lemma52_block, fk.build_lemma52_block])
+def test_lemma52_rejects_a_copy_count_past_the_size_cap(build):
+    # eps / k overflowed a float for an integer k past the double range
+    with pytest.raises(BadParameter, match="too large"):
+        build(10**400, 0.5)
+
+
+def test_flat_search_from_frequency_zero_terminates():
+    # the frequency ladder used to double 0 forever when N = 0 was not flat
+    assert fk.lemma52_block(1, 0.5, 0.45, 0).count == fk.lemma52_block(1, 0.5, 0.45, 1).count
+    assert fk.prop53_truncation(1, [1.0], start_frequency=0).count > 0

@@ -331,3 +331,38 @@ def test_read_json_rejects_an_integer_over_the_digit_limit(tmp_path):
     path.write_text('{"v": 1, "dim": 1, "count": 1, "columns": [[1' + "0" * 5000 + ", 0]]}")
     with pytest.raises(SchemaError, match="invalid JSON"):
         ser.load_system(path)
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        ("rounds", 0, "residual_norms", 1),
+        ("rounds", 0, "certified_bound"),
+        ("rounds", 0, "coverage"),
+        ("rounds", 0, "rule2_lower_bound"),
+        ("final_riesz_constant",),
+    ],
+)
+def test_trace_decoder_rejects_an_integer_too_large_for_a_double(path):
+    doc = ser.trace_to_json(fk.extract_frame(fk.random_frame(3, 6, 0), 0.25, 0.5))
+    *parents, key = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[key] = 10**400
+    with pytest.raises(SchemaError, match="entry too large for a double"):
+        ser.trace_from_json(doc)
+
+
+def test_read_json_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes('{"v": 1}'.encode("utf-16"))  # starts with the bytes ff fe
+    with pytest.raises(SchemaError, match="utf-8"):
+        ser.load_system(path)
+
+
+def test_read_json_rejects_nesting_past_the_recursion_limit(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(SchemaError, match="invalid JSON"):
+        ser.load_system(path)
