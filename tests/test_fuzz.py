@@ -3,7 +3,7 @@
 Every document starts from a valid one (a system, a trace, a gallery spec, a
 sweep plan) and has a few of its nodes replaced or deleted.  Every size the
 strategies can produce is tiny or is rejected before anything is allocated,
-so no example builds more than a few kilobytes.
+so no example builds a system of more than about a megabyte.
 """
 import contextlib
 import copy
