@@ -56,6 +56,16 @@ def _diagnostic(kind: str, message: str) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
 
 
+class _UsageError(Exception):
+    """A malformed command line, reported as a diagnostic instead of argparse's usage text."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # subparsers are built with the class of their parent, so they raise this too
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def _load_spec_argument(value: str) -> dict:
     try:
         is_file = Path(value).exists()
@@ -255,7 +265,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="framekit",
         description="Finite frame analysis: generators, spectral reports, subset extraction.",
     )
@@ -300,8 +310,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except _UsageError as exc:
+        _diagnostic("UsageError", str(exc))
+        return 2
     try:
         return args.func(args)
     except SchemaError as exc:

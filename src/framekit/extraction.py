@@ -115,6 +115,17 @@ def theoretical_bound(eps: float, separation: float, hilbertian: float, c: float
     return bound_certificate(eps, separation, hilbertian, c).value
 
 
+def _operator_norm(work: np.ndarray, work_gram: np.ndarray) -> float:
+    """||work||_2 as the root of the largest eigenvalue of the smaller Gram matrix.
+
+    work_gram is gram(work); when work has more columns than rows, work work^H
+    is the smaller one.
+    """
+    if work.shape[1] > work.shape[0]:
+        work_gram = gram(work.conj().T)
+    return math.sqrt(float(np.linalg.eigvalsh(work_gram)[-1]))
+
+
 def _peel(system: VectorSystem, mode: str, parameters: dict) -> ExtractionTrace:
     """Shared peeling engine, driven by the parameters it records in the trace.
 
@@ -154,8 +165,9 @@ def _peel(system: VectorSystem, mode: str, parameters: dict) -> ExtractionTrace:
                 work, floor, normalized = work / norms[pool], 1.0, True
             if floor <= 0.0:
                 raise GuaranteeEmpty("all residuals vanished before reaching coverage")
-            guarantee = bt_guarantee_size(len(pool), float(np.linalg.norm(work, 2)), c)
-            order, bounds = greedy_order(gram(work), target - len(selected), stop_below=c * floor)
+            pool_gram = gram(work)
+            guarantee = bt_guarantee_size(len(pool), _operator_norm(work, pool_gram), c)
+            order, bounds = greedy_order(pool_gram, target - len(selected), stop_below=c * floor)
             if not order:
                 raise GuaranteeEmpty(
                     f"round {index}: guarantee size {guarantee} and no certifiable pick"

@@ -101,7 +101,8 @@ def random_frame(n: int, m: int, seed: int, cond: float = 100.0) -> VectorSystem
     _require_positive(m, "m")
     if m < n:
         raise BadParameter("a spanning system needs m >= n")
-    if not 1.0 <= cond < math.inf:
+    cond = _finite_parameter(cond, "condition number")
+    if cond < 1.0:
         raise BadParameter(f"condition number must be finite and at least 1, got {cond!r}")
     if seed < 0:
         raise BadParameter(f"seed must be nonnegative, got {seed!r}")
@@ -189,7 +190,10 @@ def weight_fourier_integrals(
         raise BadParameter("weight exponent must exceed -1 for integrability")
     deltas = np.arange(max_delta + 1)
     x, w, h = _panel_quadrature(weight_exponent, max_delta, depth, nodes, osc)
-    oscillatory = np.cos(np.outer(deltas, x)) @ w
+    if deltas.size * x.size > SYSTEM_SIZE_CAP:
+        raise BadParameter(f"quadrature table too large: deltas * nodes exceeds {SYSTEM_SIZE_CAP}")
+    table = np.outer(deltas, x)
+    oscillatory = np.cos(table, out=table) @ w
     return 2.0 * (oscillatory + _core_integrals(weight_exponent, h, deltas))
 
 
@@ -210,6 +214,7 @@ def weighted_exponential_gram(a: float, max_frequency: int, sign) -> np.ndarray:
     when the a-posteriori error estimate exceeds 1e-8.
     """
     signum = _normalize_sign(sign)
+    a = _finite_parameter(a, "a")
     if not 0.0 <= a < 0.5:
         raise BadParameter("a must lie in [0, 1/2)")
     if max_frequency < 0:
@@ -339,7 +344,8 @@ def build_lemma52_block(
     """As lemma52_block, also returning the flat-subspace basis (dim x k) and copy size."""
     _require_positive(k, "k")
     _require_size(k, k)  # k copies of a block at least 1 x 1, checked before eps / k
-    if not 0.0 < eps < math.inf:
+    eps = _finite_parameter(eps, "eps")
+    if not eps > 0.0:
         raise BadParameter(f"eps must be positive and finite, got {eps!r}")
     block = _flat_conditional_basis(eps / k, a, start_frequency)
     system = assemble_block_system([block.system] * k)
@@ -388,10 +394,10 @@ def build_prop53_truncation(
     rescaled to unit norm at the end.
     """
     _require_positive(depth, "depth")
-    eps_list = [float(e) for e in epsilons]
+    eps_list = [_finite_parameter(e, "epsilon values") for e in epsilons]
     if len(eps_list) != depth:
         raise BadParameter(f"expected {depth} epsilon values, got {len(eps_list)}")
-    if not all(0.0 < e < math.inf for e in eps_list):
+    if not all(e > 0.0 for e in eps_list):
         raise BadParameter(f"epsilon values must be positive and finite, got {eps_list!r}")
     layers: list[VectorSystem] = []
     flat_bases: list[np.ndarray] = []
@@ -534,6 +540,14 @@ def _finite(value) -> float:
 
 def _finite_list(values) -> list[float]:
     return [_finite(v) for v in values]
+
+
+def _finite_parameter(value, name: str) -> float:
+    """_finite for the library builders: any failure is a BadParameter."""
+    try:
+        return _finite(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParameter(f"{name} must be a finite number, got {value!r}") from exc
 
 
 def _flag(value) -> bool:

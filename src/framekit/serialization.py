@@ -52,18 +52,39 @@ def dumps(doc) -> str:
 # VectorSystem
 
 
-def system_to_json(system: VectorSystem) -> dict:
-    # column-major [re, im] pairs: a C-order copy of the transpose, read as float pairs
-    pairs = np.ascontiguousarray(system.columns.T).view(np.float64).reshape(-1, 2).tolist()
-    doc = {
-        "v": SCHEMA_VERSION,
-        "dim": system.dim,
-        "count": system.count,
-        "columns": pairs,
-    }
+def _column_floats(columns: np.ndarray) -> np.ndarray:
+    """The entries as doubles in file order: column-major, re before im.
+
+    A C-order copy of the transpose, read as floats, one row per column.
+    """
+    return np.ascontiguousarray(columns.T).view(np.float64)
+
+
+def _system_fields(system: VectorSystem) -> dict:
+    """Every field of the system document but "columns"."""
+    doc = {"v": SCHEMA_VERSION, "dim": system.dim, "count": system.count}
     if system.labels is not None:
         doc["labels"] = list(system.labels)
     return doc
+
+
+def system_to_json(system: VectorSystem) -> dict:
+    doc = _system_fields(system)
+    doc["columns"] = _column_floats(system.columns).reshape(-1, 2).tolist()
+    return doc
+
+
+def _system_text(system: VectorSystem) -> str:
+    """dumps(system_to_json(system)), without a Python list per [re, im] pair.
+
+    json writes a finite double (every system entry is finite) as
+    float.__repr__, which is what %r writes.  "columns" sorts first and dumps
+    separates items with ",", so the pair text goes in front of the dumps of
+    the other fields.
+    """
+    floats = _column_floats(system.columns).ravel().tolist()
+    pairs = "[%r,%r]," * (len(floats) // 2) % tuple(floats)
+    return '{"columns": [' + pairs[:-1] + "]," + dumps(_system_fields(system))[1:]
 
 
 def _expect(doc: dict, field: str, kinds) -> object:
@@ -144,7 +165,7 @@ def _pair_error(pairs: list) -> SchemaError:
 
 
 def save_system(system: VectorSystem, path) -> None:
-    Path(path).write_text(dumps(system_to_json(system)))
+    Path(path).write_text(_system_text(system))
 
 
 def load_system(path) -> VectorSystem:

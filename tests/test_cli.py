@@ -264,6 +264,29 @@ def test_input_that_is_not_utf8_exits_two(tmp_path, capsys, monkeypatch, command
     assert "utf-8" in diagnostic["message"]
 
 
+@pytest.mark.parametrize(
+    "argv", [["gen", "--spec", "-Infinity", "--out", "x.json"], ["frob"]], ids=["gen", "frob"]
+)
+def test_usage_error_is_one_json_diagnostic(tmp_path, capsys, monkeypatch, argv):
+    # argparse used to exit through SystemExit(2) with its plain-text usage
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith("\n") and err.count("\n") == 1
+    diagnostic = json.loads(err)
+    assert diagnostic["error"] == "UsageError"
+    assert diagnostic["message"].startswith("framekit")
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert "--spec" in captured.out and captured.err == ""
+
+
 def test_missing_file_exits_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", "--in", str(tmp_path / "nope.json"))
     assert code == 2

@@ -326,6 +326,18 @@ def test_size_cap_is_checked_before_each_block_layout(monkeypatch):
         fk.build_lemma52_block(4, 1.2)
 
 
+def test_quadrature_table_cap_is_checked_before_the_table_is_built(monkeypatch):
+    # N = 4 passes a 1000-entry system cap (9 x 9 Gram matrix), but its cosine
+    # table of 9 deltas times some hundreds of quadrature nodes does not
+    def no_table(*args, **kwargs):
+        raise AssertionError("quadrature table built past the size cap")
+
+    monkeypatch.setattr(gallery, "SYSTEM_SIZE_CAP", 1000)
+    monkeypatch.setattr(gallery.np, "outer", no_table)
+    with pytest.raises(BadParameter, match="too large"):
+        fk.weighted_exponentials(0.25, 4, 1)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -336,6 +348,11 @@ def test_size_cap_is_checked_before_each_block_layout(monkeypatch):
         lambda: fk.prop53_truncation(2, [0.2, math.nan]),
         lambda: fk.random_frame(4, 8, 0, math.nan),
         lambda: fk.random_frame(4, 8, 0, math.inf),
+        # float() of these raised OverflowError or ValueError, not BadParameter
+        lambda: fk.prop53_truncation(1, [10**400]),
+        lambda: fk.prop53_truncation(1, ["x"]),
+        lambda: fk.lemma52_block(3, 10**400),
+        lambda: fk.weighted_exponentials("x", 4, 1),
     ],
 )
 def test_builders_reject_non_finite_parameters(build):

@@ -27,6 +27,7 @@ def test_system_round_trip_extreme_floats(values):
     cols = np.array([[complex(values[0], values[1])], [complex(values[2], values[3])]])
     vs = fk.VectorSystem(cols)
     text = ser.dumps(ser.system_to_json(vs))
+    assert ser._system_text(vs) == text
     back = ser.system_from_json(json.loads(text))
     assert np.array_equal(vs.columns, back.columns)
 
@@ -61,6 +62,7 @@ def test_file_round_trip(tmp_path):
     vs = fk.lemma51(6)
     path = tmp_path / "sys.json"
     ser.save_system(vs, path)
+    assert path.read_bytes() == ser.dumps(reference_system_to_json(vs)).encode()
     back = ser.load_system(path)
     assert np.array_equal(vs.columns, back.columns)
 
@@ -235,6 +237,11 @@ CODEC_ENTRIES = [0.0, -0.0, SUBNORMAL, -SUBNORMAL, 2.2250738585072014e-308 / 3, 
                  1.7976931348623157e308, 0.1]
 
 
+# integral doubles, which repr writes with an exponent past 1e16 ("1e+16")
+INTEGRAL = np.array([1e16, -1e16, 2.0**53, -(2.0**53) + 1, 1e22, 1e300, -1.0, 12345678901234.0,
+                     1e15, 3.0, 0.0, -0.0, 2.0**63, 1e100, 7.0]) * (1 - 1j)
+
+
 def codec_systems():
     entries = np.array(CODEC_ENTRIES)
     grid = entries[:, None] + 1j * entries[None, ::-1]  # 9 x 9, every sign and scale pair
@@ -245,14 +252,18 @@ def codec_systems():
         fk.VectorSystem(signed, ("a", "b")),
         fk.random_frame(6, 11, 3),
         fk.lemma52_block(2, 0.3),
+        fk.VectorSystem(INTEGRAL.reshape(3, 5), ("é", "日本", "\u2016x\u2016", "\U0001d4d5", "")),
     ]
 
 
 @pytest.mark.parametrize("system", codec_systems(), ids=lambda s: repr(s))
-def test_system_codec_matches_per_entry_codec(system):
+def test_system_codec_matches_per_entry_codec(system, tmp_path):
     doc = ser.system_to_json(system)
     assert doc == reference_system_to_json(system)
     assert ser.dumps(doc) == ser.dumps(reference_system_to_json(system))
+    ser.save_system(system, tmp_path / "system.json")
+    written = (tmp_path / "system.json").read_bytes()
+    assert written == ser.dumps(reference_system_to_json(system)).encode()
     text_doc = json.loads(ser.dumps(doc))
     back = ser.system_from_json(text_doc)
     assert same_bits(back.columns, reference_columns_from_json(text_doc))
