@@ -317,9 +317,6 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except SchemaError as exc:
-        _diagnostic("SchemaError", str(exc))
-        return 2
     except FramekitError as exc:
         _diagnostic(type(exc).__name__, str(exc))
         return 2

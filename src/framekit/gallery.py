@@ -40,7 +40,7 @@ SYSTEM_SIZE_CAP = 1 << 24  # dim * count of one synthesis matrix: 256 MiB of com
 
 def orthonormal(n: int) -> VectorSystem:
     """The standard orthonormal basis of C^n."""
-    _require_positive(n, "n")
+    n = _require_positive(n, "n")
     _require_size(n, n)
     return VectorSystem(np.eye(n, dtype=np.complex128), tuple(f"e{i + 1}" for i in range(n)))
 
@@ -51,7 +51,7 @@ def lemma51(n: int) -> VectorSystem:
     A tight frame with bounds A = B = 1 whose n-element subsets are badly
     conditioned as bases (basis constant growing like sqrt(n)/4).
     """
-    _require_positive(n, "n")
+    n = _require_positive(n, "n")
     _require_size(n, n + 1)
     cols = np.zeros((n, n + 1), dtype=np.complex128)
     cols[:, :n] = np.eye(n) - np.full((n, n), 1.0 / n)
@@ -65,8 +65,8 @@ def duplicated(n: int, double_ambient: bool = False) -> VectorSystem:
     With ``double_ambient`` the 2n vectors sit inside C^{2n} and span only
     half of it; otherwise they sit in C^n and form a tight frame with bounds 2.
     """
-    _require_positive(n, "n")
-    dim = 2 * n if double_ambient else n
+    n = _require_positive(n, "n")
+    dim = 2 * n if _flag(double_ambient, "double_ambient") else n
     _require_size(dim, 2 * n)
     cols = np.zeros((dim, 2 * n), dtype=np.complex128)
     labels = []
@@ -83,7 +83,7 @@ def perturbed_pairs(n: int) -> VectorSystem:
     Linearly independent and spanning, yet any subset keeping both members of
     a pair has Riesz constant of the order of sqrt(2) * n.
     """
-    _require_positive(n, "n")
+    n = _require_positive(n, "n")
     _require_size(2 * n, 2 * n)
     cols = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     labels = []
@@ -97,15 +97,14 @@ def perturbed_pairs(n: int) -> VectorSystem:
 
 def random_frame(n: int, m: int, seed: int, cond: float = 100.0) -> VectorSystem:
     """Seeded random spanning system whose frame operator has the given condition number."""
-    _require_positive(n, "n")
-    _require_positive(m, "m")
+    n = _require_positive(n, "n")
+    m = _require_positive(m, "m")
     if m < n:
         raise BadParameter("a spanning system needs m >= n")
     cond = _finite_parameter(cond, "condition number")
     if cond < 1.0:
         raise BadParameter(f"condition number must be finite and at least 1, got {cond!r}")
-    if seed < 0:
-        raise BadParameter(f"seed must be nonnegative, got {seed!r}")
+    seed = _require_positive(seed, "seed", minimum=0)
     _require_size(n, m)
     rng = np.random.default_rng(seed)
     left = _random_isometry(n, n, rng)
@@ -217,8 +216,7 @@ def weighted_exponential_gram(a: float, max_frequency: int, sign) -> np.ndarray:
     a = _finite_parameter(a, "a")
     if not 0.0 <= a < 0.5:
         raise BadParameter("a must lie in [0, 1/2)")
-    if max_frequency < 0:
-        raise BadParameter("max_frequency must be nonnegative")
+    max_frequency = _require_positive(max_frequency, "max_frequency", minimum=0)
     _require_size(2 * max_frequency + 1, 2 * max_frequency + 1)
     w_exp = 2.0 * signum * a
     max_delta = 2 * max_frequency
@@ -249,8 +247,9 @@ def weighted_exponentials(
     is constant, so this is a single uniform rescaling.
     """
     signum = _normalize_sign(sign)
+    max_frequency = _require_positive(max_frequency, "max_frequency", minimum=0)
     gram = weighted_exponential_gram(a, max_frequency, signum)
-    if normalized:
+    if _flag(normalized, "normalized"):
         gram = gram / gram[0, 0]
     chol = np.linalg.cholesky(gram)
     freqs = _frequency_ladder(max_frequency, signum)
@@ -342,11 +341,12 @@ def build_lemma52_block(
     k: int, eps: float, a: float = 0.45, start_frequency: int = 8
 ) -> tuple[VectorSystem, np.ndarray, int]:
     """As lemma52_block, also returning the flat-subspace basis (dim x k) and copy size."""
-    _require_positive(k, "k")
+    k = _require_positive(k, "k")
     _require_size(k, k)  # k copies of a block at least 1 x 1, checked before eps / k
     eps = _finite_parameter(eps, "eps")
     if not eps > 0.0:
         raise BadParameter(f"eps must be positive and finite, got {eps!r}")
+    start_frequency = _require_positive(start_frequency, "start_frequency", minimum=0)
     block = _flat_conditional_basis(eps / k, a, start_frequency)
     system = assemble_block_system([block.system] * k)
     flat_basis = block_diag(*[block.flat_vector[:, None]] * k)
@@ -393,12 +393,17 @@ def build_prop53_truncation(
     m copies of the flat vector span.  With ``normalized`` every column is
     rescaled to unit norm at the end.
     """
-    _require_positive(depth, "depth")
-    eps_list = [_finite_parameter(e, "epsilon values") for e in epsilons]
+    depth = _require_positive(depth, "depth")
+    try:
+        eps_list = [_finite_parameter(e, "epsilon values") for e in epsilons]
+    except TypeError as exc:  # epsilons is not iterable
+        raise BadParameter(f"epsilons must be a sequence of numbers, got {epsilons!r}") from exc
     if len(eps_list) != depth:
         raise BadParameter(f"expected {depth} epsilon values, got {len(eps_list)}")
     if not all(e > 0.0 for e in eps_list):
         raise BadParameter(f"epsilon values must be positive and finite, got {eps_list!r}")
+    start_frequency = _require_positive(start_frequency, "start_frequency", minimum=0)
+    normalized = _flag(normalized, "normalized")
     layers: list[VectorSystem] = []
     flat_bases: list[np.ndarray] = []
     masses: list[float] = []
@@ -531,59 +536,23 @@ def exact_int(value) -> int:
     return operator.index(value)
 
 
-def _finite(value) -> float:
-    result = float(value)
-    if not math.isfinite(result):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return result
-
-
-def _finite_list(values) -> list[float]:
-    return [_finite(v) for v in values]
-
-
-def _finite_parameter(value, name: str) -> float:
-    """_finite for the library builders: any failure is a BadParameter."""
-    try:
-        return _finite(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise BadParameter(f"{name} must be a finite number, got {value!r}") from exc
-
-
-def _flag(value) -> bool:
-    if not isinstance(value, bool):
-        raise TypeError(f"expected true or false, got {value!r}")
-    return value
-
-
-# kind -> (builder, its positional parameters as (name, converter[, default]))
+# kind -> (builder, JSON names of its positional parameters, defaults of the optional ones);
+# the builders convert and check every value themselves
 _GALLERY = {
-    "orthonormal": (orthonormal, [("n", exact_int)]),
-    "lemma51": (lemma51, [("n", exact_int)]),
-    "duplicated": (duplicated, [("n", exact_int), ("doubleAmbient", _flag, False)]),
-    "perturbedPairs": (perturbed_pairs, [("n", exact_int)]),
+    "orthonormal": (orthonormal, ("n",), {}),
+    "lemma51": (lemma51, ("n",), {}),
+    "duplicated": (duplicated, ("n", "doubleAmbient"), {"doubleAmbient": False}),
+    "perturbedPairs": (perturbed_pairs, ("n",), {}),
     "weightedExponentials": (
-        weighted_exponentials,
-        [("a", _finite), ("N", exact_int), ("sign", _normalize_sign), ("normalized", _flag, True)],
+        weighted_exponentials, ("a", "N", "sign", "normalized"), {"normalized": True}
     ),
-    "lemma52Block": (
-        lemma52_block,
-        [("k", exact_int), ("eps", _finite), ("a", _finite, 0.45), ("startN", exact_int, 8)],
-    ),
+    "lemma52Block": (lemma52_block, ("k", "eps", "a", "startN"), {"a": 0.45, "startN": 8}),
     "prop53Truncation": (
         prop53_truncation,
-        [
-            ("M", exact_int),
-            ("epsilons", _finite_list),
-            ("a", _finite, 0.45),
-            ("startN", exact_int, 8),
-            ("normalized", _flag, True),
-        ],
+        ("M", "epsilons", "a", "startN", "normalized"),
+        {"a": 0.45, "startN": 8, "normalized": True},
     ),
-    "randomFrame": (
-        random_frame,
-        [("n", exact_int), ("m", exact_int), ("seed", exact_int, 0), ("cond", _finite, 100.0)],
-    ),
+    "randomFrame": (random_frame, ("n", "m", "seed", "cond"), {"seed": 0, "cond": 100.0}),
 }
 GALLERY_KINDS = tuple(_GALLERY)
 
@@ -602,22 +571,15 @@ class GallerySpec:
 
 def generate(spec: GallerySpec) -> VectorSystem:
     """Build the system described by the spec.  Deterministic given the spec."""
-    build, params = _GALLERY[spec.kind]
-    unknown = sorted(set(spec.params) - {name for name, *_ in params})
+    build, names, defaults = _GALLERY[spec.kind]
+    unknown = sorted(set(spec.params) - set(names))
     if unknown:
         raise BadParameter(f"gallery kind {spec.kind!r} got unknown parameters {unknown}")
-    args = []
-    for name, convert, *default in params:
-        if name not in spec.params and not default:
-            raise BadParameter(f"gallery kind {spec.kind!r} is missing parameter {name!r}")
-        value = spec.params.get(name, *default)
-        try:
-            args.append(convert(value))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise BadParameter(
-                f"gallery kind {spec.kind!r}: parameter {name!r} got {value!r}"
-            ) from exc
-    return build(*args)
+    params = {**defaults, **spec.params}
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise BadParameter(f"gallery kind {spec.kind!r} is missing parameter {missing[0]!r}")
+    return build(*(params[name] for name in names))
 
 
 def _require_size(dim: int, count: int) -> None:
@@ -625,6 +587,30 @@ def _require_size(dim: int, count: int) -> None:
         raise BadParameter(f"system too large: dim * count exceeds {SYSTEM_SIZE_CAP}")
 
 
-def _require_positive(value: int, name: str) -> None:
-    if int(value) != value or value < 1:
-        raise BadParameter(f"{name} must be a positive integer, got {value!r}")
+def _require_positive(value, name: str, minimum: int = 1) -> int:
+    """value through exact_int, at least minimum (1 unless given), else BadParameter."""
+    try:
+        result = exact_int(value)
+    except (TypeError, ValueError) as exc:
+        raise BadParameter(f"{name} must be an integer, got {value!r}") from exc
+    if result < minimum:
+        raise BadParameter(f"{name} must be at least {minimum}, got {value!r}")
+    return result
+
+
+def _finite_parameter(value, name: str) -> float:
+    """value as a finite double, else BadParameter."""
+    try:
+        result = float(value)
+    except (TypeError, ValueError, OverflowError):
+        result = math.nan
+    if not math.isfinite(result):
+        raise BadParameter(f"{name} must be a finite number, got {value!r}")
+    return result
+
+
+def _flag(value, name: str) -> bool:
+    """value if it is True or False, else BadParameter."""
+    if not isinstance(value, bool):
+        raise BadParameter(f"{name} must be true or false, got {value!r}")
+    return value

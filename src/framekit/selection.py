@@ -37,14 +37,22 @@ class SelectionResult:
 
 
 def bt_guarantee_size(count: int, operator_norm: float, c: float) -> int:
-    """floor(c * count / operator_norm^2): the subset size the selection guarantee promises."""
+    """floor(c * count / operator_norm^2): the subset size the selection guarantee promises.
+
+    A quotient within 1e-9 (relative) of an integer counts as that integer, so
+    the last bit of a computed norm (1 in exact arithmetic for tight frames and
+    random frames with sigma_max = 1) cannot move the floor.
+    """
     if count < 0:
         raise BadParameter("count must be nonnegative")
     if operator_norm <= 0:
         raise BadParameter("operator norm must be positive")
     if not 0.0 < c <= 1.0:
         raise BadParameter("c must lie in (0, 1]")
-    return int(math.floor(c * count / operator_norm**2))
+    quotient = c * count / operator_norm**2
+    if abs(quotient - round(quotient)) <= 1e-9 * quotient:
+        quotient = round(quotient)
+    return int(math.floor(quotient))
 
 
 def _validated_columns(system: VectorSystem, normalize: bool) -> np.ndarray:
@@ -80,14 +88,23 @@ def _bordered_min_eigs(
     Newton's method on (mu_0 - lam) f(lam), which is convex for lam < mu_0 and
     has no pole there, climbs from the lower end to r without overshooting, so
     every iterate stays in that bracket; it stops once a step is below tol.
+
+    Past the rank of the pool the chosen block is singular.  The bordered block
+    is a Gram matrix, so every root lies in [0, min(mu_0, g_jj)]; once
+    mu_0 <= TIE_RTOL/2 * max diag, all candidates tie under the TIE_RTOL rule,
+    whatever the roots, and the first one wins.  That case skips Newton (which
+    converges only linearly at a double eigenvalue near 0) and returns the
+    bracket tops; the caller still certifies the winner with eigvalsh.
     """
     d = diag[candidates]
     if not chosen:
         return d
     mu, u = np.linalg.eigh(gram[np.ix_(chosen, chosen)])
+    hi = np.minimum(mu[0], d)
+    if mu[0] <= 0.5 * TIE_RTOL * np.max(diag):
+        return hi
     z = u.conj().T @ gram[np.ix_(chosen, candidates)]
     w = np.real(z * z.conj())
-    hi = np.minimum(mu[0], d)
     lam = hi - np.sqrt(w.sum(axis=0))
     active = np.flatnonzero(hi - lam > tol)
     while active.size:

@@ -139,7 +139,7 @@ def system_from_json(doc) -> VectorSystem:
 
 
 def _pairs_well_typed(pairs: list) -> bool:
-    """Every pair is a list of two numbers that are not bools: _pair_error's test, by type sets."""
+    """Every pair is a list of two numbers that are not bools, tested by type sets."""
     if not all(issubclass(kind, list) for kind in set(map(type, pairs))):
         return False
     if set(map(len, pairs)) != {2}:
@@ -151,11 +151,7 @@ def _pairs_well_typed(pairs: list) -> bool:
 def _pair_error(pairs: list) -> SchemaError:
     """The error for the first pair that is malformed or has an entry too large for a double."""
     for pos, pair in enumerate(pairs):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)
-        ):
+        if not _pairs_well_typed([pair]):
             return SchemaError(f"field 'columns'[{pos}]: expected an [re, im] pair")
         try:
             complex(pair[0], pair[1])

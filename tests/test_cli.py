@@ -370,6 +370,27 @@ def test_sweep_malformed_plan_is_schema_error(tmp_path, capsys, change):
 
 
 @pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"kind": "weightedExponentials", "a": 0.25, "N": 1.9, "sign": 1},
+         "max_frequency must be an integer, got 1.9"),
+        ({"kind": "lemma52Block", "k": 1, "eps": 0.5, "startN": -1},
+         "start_frequency must be at least 0, got -1"),
+        ({"kind": "prop53Truncation", "M": True, "epsilons": [0.3]},
+         "depth must be an integer, got True"),
+        ({"kind": "duplicated", "n": 2, "doubleAmbient": "no"},
+         "double_ambient must be true or false, got 'no'"),
+    ],
+)
+def test_gen_diagnostic_names_the_builder_parameter(tmp_path, capsys, spec, message):
+    code, _, err = run_cli(
+        capsys, "gen", "--spec", json.dumps(spec), "--out", str(tmp_path / "out.json")
+    )
+    assert code == 2
+    assert json.loads(err) == {"error": "BadParameter", "message": message}
+
+
+@pytest.mark.parametrize(
     "spec",
     [
         {"kind": "lemma51", "n": "abc"},

@@ -362,6 +362,48 @@ def test_builders_reject_non_finite_parameters(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, int_form",
+    [
+        (lambda: fk.lemma51(4.0), lambda: fk.lemma51(4)),
+        (lambda: fk.orthonormal(3.0), lambda: fk.orthonormal(3)),
+        (lambda: fk.perturbed_pairs(3.0), lambda: fk.perturbed_pairs(3)),
+        (lambda: fk.random_frame(4.0, 8, 1.0), lambda: fk.random_frame(4, 8, 1)),
+        (lambda: fk.weighted_exponentials(0.25, 4.0, 1), lambda: fk.weighted_exponentials(0.25, 4, 1)),
+        (
+            lambda: fk.lemma52_block(2, 0.3, start_frequency=4.0),
+            lambda: fk.lemma52_block(2, 0.3, start_frequency=4),
+        ),
+        (lambda: fk.prop53_truncation(1.0, [0.3]), lambda: fk.prop53_truncation(1, [0.3])),
+    ],
+)
+def test_builders_take_integral_floats(build, int_form):
+    assert np.array_equal(build().columns, int_form().columns)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fk.lemma51(True),
+        lambda: fk.random_frame(4, 8, True),
+        lambda: fk.lemma52_block(True, 0.3),
+        lambda: fk.duplicated(2, "no"),
+        lambda: fk.weighted_exponentials(0.25, 4, 1, normalized="no"),
+        lambda: fk.prop53_truncation(1, [0.3], normalized="no"),
+        lambda: fk.prop53_truncation(1, 5),
+    ],
+)
+def test_builders_reject_bools_for_integers_and_non_bools_for_flags(build):
+    with pytest.raises(BadParameter):
+        build()
+
+
+def test_builders_take_epsilons_as_any_sequence():
+    expected = fk.prop53_truncation(1, [0.3]).columns
+    assert np.array_equal(fk.prop53_truncation(1, (0.3,)).columns, expected)
+    assert np.array_equal(fk.prop53_truncation(1, np.array([0.3])).columns, expected)
+
+
 @pytest.mark.parametrize("build", [fk.lemma52_block, fk.build_lemma52_block])
 def test_lemma52_rejects_a_copy_count_past_the_size_cap(build):
     # eps / k overflowed a float for an integer k past the double range

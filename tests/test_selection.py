@@ -86,6 +86,12 @@ def test_bt_guarantee_size_values():
     assert fk.bt_guarantee_size(5, 10.0, 0.5) == 0
 
 
+@pytest.mark.parametrize("norm", [np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)])
+def test_bt_guarantee_size_is_stable_at_an_exact_integer(norm):
+    # 0.8 * 85 / 1 is 68 exactly; the last bit of a computed norm of 1 must not move it
+    assert fk.bt_guarantee_size(85, norm, 0.8) == 68
+
+
 def test_bt_guarantee_size_bad_parameters():
     with pytest.raises(BadParameter):
         fk.bt_guarantee_size(10, 0.0, 0.1)
@@ -177,9 +183,15 @@ def reference_greedy_order(gram, limit, stop_below=None):
         (lambda: fk.weighted_exponentials(0.25, 32, -1), 65, None),
         (lambda: fk.random_frame(48, 96, 2, 1e4), 96, 0.05),
         (lambda: fk.perturbed_pairs(30), 60, None),
+        # full orders past the rank, where the chosen block is singular
+        (lambda: fk.random_frame(16, 40, 0), 40, None),
+        (lambda: fk.random_frame(16, 40, 1, 1e4), 40, None),
+        (lambda: fk.random_frame(16, 40, 2, 1.0), 40, None),
+        (lambda: fk.duplicated(8, True), 16, None),
     ],
     ids=["lemma51-10", "lemma51-40", "lemma51-80", "duplicated-20", "duplicated-12-double",
-         "exponentials-plus", "exponentials-minus", "random-stop", "perturbed-pairs-30"],
+         "exponentials-plus", "exponentials-minus", "random-stop", "perturbed-pairs-30",
+         "random-16-40-s0", "random-16-40-s1", "random-16-40-tight", "duplicated-8-double"],
 )
 def test_greedy_order_matches_reference(make, limit, stop_below):
     g = make().gram()
