@@ -25,7 +25,7 @@ from .core import (
 )
 from .errors import FramekitError, SchemaError
 from .extraction import extract_biorthogonal, extract_frame
-from .gallery import exact_int, generate
+from .gallery import exact_int, generate, real_number
 from .metrics import basis_metrics
 from .selection import select_exhaustive, select_greedy
 
@@ -210,9 +210,9 @@ def _sweep_rows(plan: dict):
     mode = extract_cfg.get("mode", "frame")
     if mode not in ("frame", "biorthogonal"):
         raise SchemaError(f"sweep plan: 'mode' must be 'frame' or 'biorthogonal', got {mode!r}")
-    eps = _plan_field(extract_cfg, "eps", float, 0.25)
-    c = _plan_field(extract_cfg, "c", float, 0.1)
-    delta = _plan_field(extract_cfg, "delta", float, None)
+    eps = _plan_field(extract_cfg, "eps", real_number, 0.25)
+    c = _plan_field(extract_cfg, "c", real_number, 0.1)
+    delta = _plan_field(extract_cfg, "delta", real_number, None)
     seed = _plan_field(plan, "seed", exact_int, 0)
     try:
         ordered = sorted(values)

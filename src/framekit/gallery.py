@@ -536,6 +536,17 @@ def exact_int(value) -> int:
     return operator.index(value)
 
 
+def real_number(value) -> float:
+    """value as a float: Python and numpy ints and floats, never a bool or a string.
+
+    Raises TypeError for anything else and OverflowError for an int past the
+    double range; callers turn those into their own error type.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 # kind -> (builder, JSON names of its positional parameters, defaults of the optional ones);
 # the builders convert and check every value themselves
 _GALLERY = {
@@ -601,8 +612,8 @@ def _require_positive(value, name: str, minimum: int = 1) -> int:
 def _finite_parameter(value, name: str) -> float:
     """value as a finite double, else BadParameter."""
     try:
-        result = float(value)
-    except (TypeError, ValueError, OverflowError):
+        result = real_number(value)
+    except (TypeError, OverflowError):
         result = math.nan
     if not math.isfinite(result):
         raise BadParameter(f"{name} must be a finite number, got {value!r}")

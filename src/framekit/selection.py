@@ -49,7 +49,12 @@ def bt_guarantee_size(count: int, operator_norm: float, c: float) -> int:
         raise BadParameter("operator norm must be positive")
     if not 0.0 < c <= 1.0:
         raise BadParameter("c must lie in (0, 1]")
-    quotient = c * count / operator_norm**2
+    try:
+        quotient = c * count / operator_norm**2
+    except (OverflowError, ZeroDivisionError):  # the square overflowed or underflowed to 0
+        quotient = math.nan
+    if not (math.isfinite(quotient) and operator_norm < math.inf):
+        raise BadParameter(f"operator norm {operator_norm!r} gives no finite guarantee size")
     if abs(quotient - round(quotient)) <= 1e-9 * quotient:
         quotient = round(quotient)
     return int(math.floor(quotient))

@@ -107,6 +107,16 @@ def _expect_indices(doc: dict, field: str) -> tuple[int, ...]:
 def system_from_json(doc) -> VectorSystem:
     if not isinstance(doc, dict):
         raise SchemaError("system document must be a JSON object")
+    return _system_from_fields(doc, lambda: _expect(doc, "columns", list), _flat_pairs)
+
+
+def _system_from_fields(doc: dict, get_pairs, flatten) -> VectorSystem:
+    """The system of a v1 document: every field check but the decoding of the pairs.
+
+    get_pairs() returns the "columns" value, once "dim" and "count" are checked,
+    and flatten(pairs) its entries as doubles in file order.  Both decoders end
+    here, so they raise the same SchemaError for the same document.
+    """
     if doc.get("v") != SCHEMA_VERSION:
         raise SchemaError(f"field 'v': expected {SCHEMA_VERSION}, got {doc.get('v')!r}")
     dim = _expect(doc, "dim", int)
@@ -115,18 +125,12 @@ def system_from_json(doc) -> VectorSystem:
         raise SchemaError(f"field 'dim': must be >= 1, got {dim}")
     if count < 1:
         raise SchemaError(f"field 'count': must be >= 1, got {count}")
-    pairs = _expect(doc, "columns", list)
+    pairs = get_pairs()
     if len(pairs) != dim * count:
         raise SchemaError(
             f"field 'columns': expected {dim * count} [re, im] pairs, got {len(pairs)}"
         )
-    if not _pairs_well_typed(pairs):
-        raise _pair_error(pairs)
-    try:
-        flat = np.fromiter(itertools.chain.from_iterable(pairs), np.float64, count=2 * len(pairs))
-    except OverflowError:
-        raise _pair_error(pairs) from None
-    cols = flat.view(np.complex128).reshape(count, dim).T
+    cols = flatten(pairs).view(np.complex128).reshape(count, dim).T
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
@@ -136,6 +140,16 @@ def system_from_json(doc) -> VectorSystem:
         return VectorSystem(cols, labels)
     except BadParameter as exc:
         raise SchemaError(str(exc)) from exc
+
+
+def _flat_pairs(pairs: list) -> np.ndarray:
+    """The entries of a list of [re, im] pairs as doubles, or the error for the first bad pair."""
+    if not _pairs_well_typed(pairs):
+        raise _pair_error(pairs)
+    try:
+        return np.fromiter(itertools.chain.from_iterable(pairs), np.float64, count=2 * len(pairs))
+    except OverflowError:
+        raise _pair_error(pairs) from None
 
 
 def _pairs_well_typed(pairs: list) -> bool:
@@ -165,15 +179,63 @@ def save_system(system: VectorSystem, path) -> None:
 
 
 def load_system(path) -> VectorSystem:
-    return system_from_json(_read_json(path))
+    text = _read_text(path)
+    system = _system_from_writer_text(text)
+    if system is None:
+        system = system_from_json(_parse_json(text, path))
+    return system
+
+
+_WRITER_PREFIX = '{"columns": [['
+# str.translate table that deletes every character a JSON number can contain
+_NUMBER_CHARS = dict.fromkeys(map(ord, "0123456789.-+eE"))
+
+
+def _system_from_writer_text(text: str) -> VectorSystem | None:
+    """load_system for the layout save_system writes, without a Python list per pair.
+
+    The columns body goes to json.loads as one flat list of numbers, so the JSON
+    scanner still checks every token and makes the same int and float objects
+    as a parse of the whole text; np.fromiter converts them as _flat_pairs does.
+    Any text not in the writer's layout returns None and takes the general path,
+    which then gives every result and diagnostic.  Each check is one C-level pass.
+    """
+    if not text.startswith(_WRITER_PREFIX):
+        return None
+    end = text.find("]]", len(_WRITER_PREFIX))
+    # ',"' after the first "]]" rules out a tail such as ",}", which would parse as "{}"
+    if end < 0 or not text.startswith(',"', end + 2):
+        return None
+    seg = "[" + text[len(_WRITER_PREFIX):end] + "]"
+    n_pairs = seg.count("],[") + 1
+    # exactly n_pairs brackets of two tokens each, the tokens made of number characters
+    if seg.translate(_NUMBER_CHARS) != "[" + ",],[" * (n_pairs - 1) + ",]":
+        return None
+    try:
+        numbers = json.loads(seg.replace("],[", ","))
+        fields = json.loads("{" + text[end + 3:])
+    except (ValueError, RecursionError):
+        return None
+    # json.loads of the whole text would keep the last of two "columns" keys
+    if len(numbers) != 2 * n_pairs or "columns" in fields:
+        return None
+    try:
+        flat = np.fromiter(numbers, np.float64, count=2 * n_pairs)
+    except OverflowError:
+        return None
+    pairs = flat.reshape(n_pairs, 2)
+    return _system_from_fields(fields, lambda: pairs, np.ravel)
+
+
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
 
 
 def _read_json(path):
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
-    return _parse_json(text, path)
+    return _parse_json(_read_text(path), path)
 
 
 def _parse_json(text: str, source) -> object:

@@ -463,3 +463,37 @@ def test_sweep_nan_delta_exits_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "sweep", "--plan", str(plan_path))
     assert code == 2
     assert json.loads(err)["error"] == "InfeasibleDelta"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"kind": "lemma52Block", "k": 1, "eps": "0.5"},
+        {"kind": "randomFrame", "n": 2, "m": 3, "cond": True},
+    ],
+)
+def test_gen_float_parameter_refuses_strings_and_flags(tmp_path, capsys, spec):
+    code, out, err = run_cli(
+        capsys, "gen", "--spec", json.dumps(spec), "--out", str(tmp_path / "out.json")
+    )
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "BadParameter"
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("field, value", [("eps", "0.25"), ("c", True), ("delta", "0.5")])
+def test_sweep_float_field_refuses_strings_and_flags(tmp_path, capsys, field, value):
+    plan = {
+        "generator": {"kind": "orthonormal", "n": 4},
+        "sweep": {"name": "n", "values": [4]},
+        "extract": {"mode": "frame", "eps": 0.25, field: value},
+        "out": str(tmp_path / "sweep.csv"),
+    }
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    code, _, err = run_cli(capsys, "sweep", "--plan", str(plan_path))
+    assert code == 2
+    assert json.loads(err) == {
+        "error": "SchemaError", "message": f"sweep plan: field {field!r} got {value!r}"
+    }
+    assert not (tmp_path / "sweep.csv").exists()

@@ -415,3 +415,26 @@ def test_flat_search_from_frequency_zero_terminates():
     # the frequency ladder used to double 0 forever when N = 0 was not flat
     assert fk.lemma52_block(1, 0.5, 0.45, 0).count == fk.lemma52_block(1, 0.5, 0.45, 1).count
     assert fk.prop53_truncation(1, [1.0], start_frequency=0).count > 0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: fk.lemma52_block(1, True),
+        lambda: fk.lemma52_block(1, "0.5"),
+        lambda: fk.random_frame(4, 8, 0, False),
+        lambda: fk.prop53_truncation(1, ["0.3"]),
+        lambda: fk.weighted_exponentials(b"0.25", 4, 1),
+    ],
+)
+def test_float_parameters_refuse_flags_and_strings(build):
+    with pytest.raises(BadParameter, match="finite number"):
+        build()
+
+
+def test_float_parameters_take_python_and_numpy_numbers():
+    expected = fk.random_frame(4, 8, 1, 10.0).columns
+    for cond in (10, np.int64(10), np.float32(10.0), np.float64(10.0)):
+        assert np.array_equal(fk.random_frame(4, 8, 1, cond).columns, expected)
+    assert np.array_equal(fk.lemma52_block(1, np.float64(0.5)).columns,
+                          fk.lemma52_block(1, 0.5).columns)

@@ -92,6 +92,13 @@ def test_bt_guarantee_size_is_stable_at_an_exact_integer(norm):
     assert fk.bt_guarantee_size(85, norm, 0.8) == 68
 
 
+@pytest.mark.parametrize("norm", [1e-200, 1e-160, math.nan, math.inf])
+def test_bt_guarantee_size_rejects_a_degenerate_norm(norm):
+    # the square underflows to 0, the quotient overflows, NaN, and a zero quotient from inf
+    with pytest.raises(BadParameter, match="operator norm"):
+        fk.bt_guarantee_size(10, norm, 0.5)
+
+
 def test_bt_guarantee_size_bad_parameters():
     with pytest.raises(BadParameter):
         fk.bt_guarantee_size(10, 0.0, 0.1)

@@ -377,3 +377,169 @@ def test_read_json_rejects_nesting_past_the_recursion_limit(tmp_path):
     path.write_text("[" * 100_000)
     with pytest.raises(SchemaError, match="invalid JSON"):
         ser.load_system(path)
+
+
+# ---------------------------------------------------------------------------
+# load_system's fast path for the writer's layout, against the general path
+
+
+SMALL_SPECS = {
+    "orthonormal": {"n": 3},
+    "lemma51": {"n": 4},
+    "duplicated": {"n": 3, "doubleAmbient": True},
+    "perturbedPairs": {"n": 4},
+    "weightedExponentials": {"a": 0.25, "N": 3, "sign": -1},
+    "lemma52Block": {"k": 2, "eps": 0.3},
+    "prop53Truncation": {"M": 1, "epsilons": [0.3]},
+    "randomFrame": {"n": 4, "m": 7, "seed": 3},
+}
+
+
+def test_small_specs_cover_every_gallery_kind():
+    assert sorted(SMALL_SPECS) == sorted(fk.GALLERY_KINDS)
+
+
+def parity_systems():
+    gallery = [fk.generate(fk.GallerySpec(kind, params)) for kind, params in SMALL_SPECS.items()]
+    return codec_systems() + gallery
+
+
+def general_load(path):
+    """load_system's general path: the whole text through json.loads, then system_from_json."""
+    return ser.system_from_json(ser._parse_json(path.read_text(encoding="utf-8"), path))
+
+
+def load_outcome(load, path):
+    """The decoded system as (shape, bits, labels), or the SchemaError message."""
+    try:
+        system = load(path)
+    except SchemaError as exc:
+        return str(exc)
+    return system.columns.shape, system.columns.view(np.uint64).tobytes(), system.labels
+
+
+@pytest.mark.parametrize("system", parity_systems(), ids=lambda s: repr(s))
+def test_load_system_matches_the_general_decoder(system, tmp_path):
+    path = tmp_path / "system.json"
+    ser.save_system(system, path)
+    back = ser.load_system(path)
+    reference = ser.system_from_json(json.loads(path.read_text(encoding="utf-8")))
+    assert same_bits(back.columns, reference.columns)
+    assert same_bits(back.columns, system.columns)
+    assert back.labels == reference.labels == system.labels
+
+
+@pytest.mark.parametrize("system", parity_systems(), ids=lambda s: repr(s))
+def test_load_system_reads_the_writers_layout_without_the_general_parser(
+    system, tmp_path, monkeypatch
+):
+    path = tmp_path / "system.json"
+    ser.save_system(system, path)
+
+    def general_parser_called(*args):
+        raise AssertionError("the writer's own layout took the general path")
+
+    monkeypatch.setattr(ser, "_parse_json", general_parser_called)
+    back = ser.load_system(path)
+    assert same_bits(back.columns, system.columns)
+    assert back.labels == system.labels
+
+
+def writer_text(pairs, tail):
+    """A system text in the writer's layout, built from the token strings of each pair."""
+    return '{"columns": [' + ",".join("[" + ",".join(p) + "]" for p in pairs) + "]," + tail
+
+
+def _edit_pairs(edit):
+    """A mutation whose pairs of token strings are edit(pairs)."""
+    return lambda pairs, tail: writer_text(edit([list(p) for p in pairs]), tail)
+
+
+def _set_token(pair, entry, token):
+    def edit(pairs):
+        pairs[pair][entry] = token
+        return pairs
+
+    return _edit_pairs(edit)
+
+
+def _edit_tail(edit):
+    """A mutation whose text after the pairs is edit(tail)."""
+    return lambda pairs, tail: writer_text(pairs, edit(tail))
+
+
+def _edit_text(edit):
+    """A mutation of the whole text in the writer's layout."""
+    return lambda pairs, tail: edit(writer_text(pairs, tail))
+
+
+TOKENS = [
+    "+1", "01", "1.", ".5", "1.e5", "1.2.3", "1e5e3", "",  # not JSON
+    "-0",  # the integer 0, so +0.0
+    "NaN", "Infinity", "-Infinity",  # JSON extensions that json.loads accepts
+    "1e400", "-1e400", str(10**400),  # past the double range, as floats and as an int
+    "1E5", "-1.5e-3",  # valid forms the writer does not use
+    '"0.5"', "true", "null", "[1]", "{}",  # JSON values that are not numbers
+]
+SECOND_COLUMNS = '"columns": [[0.5,0.5],[0.5,0.5],[0.5,0.5],[0.5,0.5],[0.5,0.5],[0.5,0.5]]'
+ESCAPED_SECOND_COLUMNS = SECOND_COLUMNS.replace("columns", "col\\u0075mns")
+
+TEXT_MUTATIONS = {
+    **{f"token {t!r} at {pos}": _set_token(*pos, t) for t in TOKENS for pos in [(0, 0), (5, 1)]},
+    # the first "," of the text is inside the first pair
+    "space inside a pair": _edit_text(lambda text: text.replace(",", ", ", 1)),
+    "newline inside a pair": _edit_text(lambda text: text.replace(",", ",\n", 1)),
+    "space after the prefix": _edit_text(lambda text: text.replace("[[", "[[ ", 1)),
+    "space between pairs": _edit_text(lambda text: text.replace("],[", "], [", 1)),
+    "three-number pair": _edit_pairs(lambda p: [p[0] + ["0.5"]] + p[1:]),
+    "three-number pair then a one-number pair": _edit_pairs(
+        lambda p: [p[0] + p[1][:1], p[1][1:]] + p[2:]),
+    "empty pair": _edit_pairs(lambda p: [p[0], []] + p[2:]),
+    "one-number pair": _edit_pairs(lambda p: p[:3] + [p[3][:1]] + p[4:]),
+    "nested pair": _edit_pairs(lambda p: p[:2] + [["[" + p[2][0], p[2][1] + "]"]] + p[3:]),
+    "a pair too few": _edit_pairs(lambda p: p[:-1]),
+    "a pair too many": _edit_pairs(lambda p: p + [["1", "2"]]),
+    "no pairs": lambda pairs, tail: '{"columns": [],' + tail,
+    "empty columns body": lambda pairs, tail: '{"columns": [[]],' + tail,
+    "',}' tail": lambda pairs, tail: writer_text(pairs, "}\n"),
+    "trailing comma in the tail": _edit_tail(lambda t: t.replace('"v": 1}', '"v": 1,}')),
+    "unclosed tail": _edit_tail(lambda t: t.replace("}", "")),
+    "second columns key": _edit_tail(
+        lambda t: t.replace('"v": 1}', f'"v": 1,{SECOND_COLUMNS}}}')),
+    "escaped second columns key": _edit_tail(
+        lambda t: t.replace('"v": 1}', f'"v": 1,{ESCAPED_SECOND_COLUMNS}}}')),
+    "second dim key": _edit_tail(lambda t: t.replace('"v": 1}', '"v": 1,"dim": 3}')),
+    "wrong dim": _edit_tail(lambda t: t.replace('"dim": 2', '"dim": 3')),
+    "labels of numbers": _edit_tail(
+        lambda t: t.replace('"labels": ["a","b","c"]', '"labels": [1,2,3]')),
+    "version 2": _edit_tail(lambda t: t.replace('"v": 1', '"v": 2')),
+    "spaced prefix": _edit_text(lambda text: text.replace('": [[', '":  [[', 1)),
+    "compact prefix": _edit_text(lambda text: text.replace('": [[', '":[[', 1)),
+    "leading space": _edit_text(lambda text: " " + text),
+    "text after the document": _edit_text(lambda text: text + "[]"),
+}
+
+
+def mutation_base():
+    rng = np.random.default_rng(7)
+    cols = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    system = fk.VectorSystem(cols, ("a", "b", "c"))
+    flat = ser._column_floats(system.columns).ravel().tolist()
+    pairs = [[repr(flat[i]), repr(flat[i + 1])] for i in range(0, len(flat), 2)]
+    return system, pairs, ser.dumps(ser._system_fields(system))[1:]
+
+
+def test_mutation_base_is_the_writers_text(tmp_path):
+    system, pairs, tail = mutation_base()
+    ser.save_system(system, tmp_path / "system.json")
+    assert (tmp_path / "system.json").read_text() == writer_text(pairs, tail)
+
+
+@pytest.mark.parametrize("name", TEXT_MUTATIONS)
+def test_load_system_decodes_mutated_text_like_the_general_path(name, tmp_path):
+    _, pairs, tail = mutation_base()
+    text = TEXT_MUTATIONS[name](pairs, tail)
+    path = tmp_path / "system.json"
+    path.write_text(text, encoding="utf-8")
+    assert text != writer_text(pairs, tail)
+    assert load_outcome(ser.load_system, path) == load_outcome(general_load, path)
