@@ -18,8 +18,9 @@ from . import serialization as ser
 from .core import (
     OperatorPower,
     _apply_power,
+    _counting_slacks,
     _dual_reconstruct,
-    check_counting_lemmas,
+    frame_operator,
     frame_report,
     random_unit_vector,
 )
@@ -134,22 +135,24 @@ def _cmd_select(args) -> int:
 
 
 def _run_verifications(system, canonical: bool) -> list[dict]:
-    """The verify-lemmas checks.  S is factored once: every probe applies the same
-    S^-1, and the canonical transform S^-1/2 comes from the same eigendecomposition.
+    """The verify-lemmas checks.  S is formed once: the counting check takes its
+    frame bounds from it, and its one eigendecomposition gives the S^-1 that
+    every probe applies and the canonical transform S^-1/2.
     """
     checks: list[dict] = []
 
     def record(name: str, ok: bool, value: float) -> None:
         checks.append({"name": name, "ok": bool(ok), "value": ser._encode_scalar(value)})
 
-    slacks = check_counting_lemmas(system)
+    s = frame_operator(system)
+    slacks = _counting_slacks(system, s)
     record("dimension_slack", slacks.dimension_slack >= -VERIFY_TOLERANCE, slacks.dimension_slack)
     record(
         "cardinality_slack",
         slacks.cardinality_slack >= -VERIFY_TOLERANCE,
         slacks.cardinality_slack,
     )
-    power = OperatorPower.compute(system, -1.0)
+    power = OperatorPower._of_operator(s, -1.0)
     s_inv = power.matrix()
     rng = np.random.default_rng(VERIFY_SEED)
     worst_recon = 0.0

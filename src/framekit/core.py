@@ -107,7 +107,11 @@ class OperatorPower:
 
     @classmethod
     def compute(cls, system: VectorSystem, exponent: float) -> "OperatorPower":
-        s = frame_operator(system)
+        return cls._of_operator(frame_operator(system), exponent)
+
+    @classmethod
+    def _of_operator(cls, s: np.ndarray, exponent: float) -> "OperatorPower":
+        """compute, for the frame operator s already formed."""
         vals, vecs = np.linalg.eigh(s)
         vals = np.maximum(vals[::-1], 0.0)
         vecs = vecs[:, ::-1]
@@ -151,7 +155,11 @@ def frame_operator(system: VectorSystem) -> np.ndarray:
 
 def frame_bounds(system: VectorSystem) -> tuple[float, float]:
     """Extreme eigenvalues (A, B) of the frame operator, clipped at zero."""
-    vals = np.linalg.eigvalsh(frame_operator(system))
+    return _operator_bounds(frame_operator(system))
+
+
+def _operator_bounds(s: np.ndarray) -> tuple[float, float]:
+    vals = np.linalg.eigvalsh(s)
     return float(max(vals[0], 0.0)), float(max(vals[-1], 0.0))
 
 
@@ -161,9 +169,14 @@ def frame_report(system: VectorSystem, tolerance: float = DEFAULT_TOLERANCE) -> 
     The spanning decision is relative: the system spans iff A > tolerance * B.
     Tightness uses the relative gap (B - A) <= tolerance * B.
     """
+    return _frame_report(system, frame_operator(system), tolerance)
+
+
+def _frame_report(system: VectorSystem, s: np.ndarray, tolerance: float) -> FrameReport:
+    """frame_report, for the frame operator s of system already formed."""
     if tolerance <= 0:
         raise BadParameter("tolerance must be positive")
-    a, b = frame_bounds(system)
+    a, b = _operator_bounds(s)
     norms = system.norms()
     return FrameReport(
         lower_bound=a,
@@ -250,7 +263,14 @@ def check_counting_lemmas(
     system: VectorSystem, tolerance: float = DEFAULT_TOLERANCE
 ) -> CountingSlacks:
     """Evaluate both counting inequalities relating dim, count, bounds and norms."""
-    report = frame_report(system, tolerance)
+    return _counting_slacks(system, frame_operator(system), tolerance)
+
+
+def _counting_slacks(
+    system: VectorSystem, s: np.ndarray, tolerance: float = DEFAULT_TOLERANCE
+) -> CountingSlacks:
+    """check_counting_lemmas, for the frame operator s of system already formed."""
+    report = _frame_report(system, s, tolerance)
     if not report.is_spanning:
         raise NotSpanning("dimension inequality needs a spanning system")
     if report.min_norm <= 0.0:

@@ -76,23 +76,29 @@ def _min_eig(gram: np.ndarray, idx: list[int]) -> float:
 
 def _first_tied_best(lams: np.ndarray, gram: np.ndarray) -> int:
     """Position of the first candidate whose eigenvalue ties the best one."""
-    scale = float(np.max(np.real(np.diagonal(gram))))
+    return _first_tie(lams, float(np.max(np.real(np.diagonal(gram)))))
+
+
+def _first_tie(lams: np.ndarray, scale: float) -> int:
+    """Position of the first value within TIE_RTOL * scale of the largest (scale = max diag)."""
     return int(np.argmax(lams >= lams.max() - TIE_RTOL * scale))
 
 
 def _bordered_min_eigs(
-    gram: np.ndarray, chosen: list[int], candidates: np.ndarray, diag: np.ndarray, tol: float
+    rows: np.ndarray, chosen: list[int], candidates: np.ndarray, diag: np.ndarray, scale: float
 ) -> np.ndarray:
     """Smallest eigenvalue of gram[chosen + [j]] for every candidate j at once.
 
-    With G_S = U diag(mu) U^H and z = U^H gram[chosen, j], that eigenvalue r is
-    the root below mu_0 of the secular equation
+    rows holds the Gram rows of the chosen indices, in the order chosen, and
+    scale is max diag(gram).  With G_S = U diag(mu) U^H and z = U^H gram[chosen, j],
+    that eigenvalue r is the root below mu_0 of the secular equation
     f(lam) = g_jj - lam - sum_i |z_i|^2 / (mu_i - lam) = 0 (Golub 1973); when z_0
     vanishes and no root lies below mu_0, r is mu_0 itself.  Weyl's inequality
     and interlacing give min(mu_0, g_jj) - |z| <= r <= min(mu_0, g_jj).
     Newton's method on (mu_0 - lam) f(lam), which is convex for lam < mu_0 and
     has no pole there, climbs from the lower end to r without overshooting, so
-    every iterate stays in that bracket; it stops once a step is below tol.
+    every iterate stays in that bracket; it stops once a step is below
+    4 eps * scale.
 
     Past the rank of the pool the chosen block is singular.  The bordered block
     is a Gram matrix, so every root lies in [0, min(mu_0, g_jj)]; once
@@ -104,11 +110,12 @@ def _bordered_min_eigs(
     d = diag[candidates]
     if not chosen:
         return d
-    mu, u = np.linalg.eigh(gram[np.ix_(chosen, chosen)])
+    mu, u = np.linalg.eigh(rows[:, chosen])
     hi = np.minimum(mu[0], d)
-    if mu[0] <= 0.5 * TIE_RTOL * np.max(diag):
+    if mu[0] <= 0.5 * TIE_RTOL * scale:
         return hi
-    z = u.conj().T @ gram[np.ix_(chosen, candidates)]
+    tol = 4.0 * np.finfo(float).eps * scale
+    z = u.conj().T @ rows[:, candidates]
     w = np.real(z * z.conj())
     lam = hi - np.sqrt(w.sum(axis=0))
     active = np.flatnonzero(hi - lam > tol)
@@ -126,6 +133,39 @@ def _bordered_min_eigs(
     return lam
 
 
+def _greedy(row, diag: np.ndarray, limit: int, stop_below: float | None):
+    """The greedy loop of greedy_order, reading the Gram only through row.
+
+    row(j) returns row j of the Hermitian Gram matrix, and diag is its real
+    diagonal.  A step reads only the rows of indices already picked, so the
+    loop asks for one row per pick and never needs the whole Gram matrix.
+    """
+    m = diag.shape[0]
+    limit = min(limit, m)
+    chosen: list[int] = []
+    taken = np.zeros(m, dtype=bool)
+    bounds: list[float] = []
+    rows = np.empty((limit, m), dtype=np.complex128)
+    scale = float(np.max(diag, initial=0.0))
+    while len(chosen) < limit:
+        k = len(chosen)
+        candidates = np.flatnonzero(~taken)
+        lams = _bordered_min_eigs(rows[:k], chosen, candidates, diag, scale)
+        pick = _first_tie(lams, scale)
+        best_j = int(candidates[pick])
+        rows[k] = row(best_j)
+        picked = chosen + [best_j]
+        # the eigenvalue of a 1x1 block is its diagonal entry, exactly as eigvalsh gives it
+        lam = float(np.linalg.eigvalsh(rows[: k + 1][:, picked])[0]) if chosen else lams[pick]
+        bound = math.sqrt(max(lam, 0.0))
+        if stop_below is not None and bound < stop_below:
+            break
+        chosen = picked
+        taken[best_j] = True
+        bounds.append(bound)
+    return chosen, bounds
+
+
 def greedy_order(gram: np.ndarray, limit: int, stop_below: float | None = None):
     """Greedy augmentation order maximizing sigma_min at every step.
 
@@ -138,37 +178,24 @@ def greedy_order(gram: np.ndarray, limit: int, stop_below: float | None = None):
     chosen block (one eigh, see _bordered_min_eigs) and certifies only the
     winner, with eigvalsh of its Gram block.
     """
-    m = gram.shape[0]
-    limit = min(limit, m)
-    chosen: list[int] = []
-    taken = np.zeros(m, dtype=bool)
-    bounds: list[float] = []
-    diag = np.real(np.diagonal(gram))
-    tol = 4.0 * np.finfo(float).eps * float(np.max(diag, initial=0.0))
-    while len(chosen) < limit:
-        candidates = np.flatnonzero(~taken)
-        lams = _bordered_min_eigs(gram, chosen, candidates, diag, tol)
-        pick = _first_tied_best(lams, gram)
-        best_j = int(candidates[pick])
-        # the eigenvalue of a 1x1 block is its diagonal entry, exactly as eigvalsh gives it
-        lam = _min_eig(gram, chosen + [best_j]) if chosen else lams[pick]
-        bound = math.sqrt(max(lam, 0.0))
-        if stop_below is not None and bound < stop_below:
-            break
-        chosen.append(best_j)
-        taken[best_j] = True
-        bounds.append(bound)
-    return chosen, bounds
+    return _greedy(gram.__getitem__, np.real(np.diagonal(gram)), limit, stop_below)
 
 
 def select_greedy(
     system: VectorSystem, target_size: int, normalize: bool = False
 ) -> SelectionResult:
-    """Grow the subset one index at a time, each time maximizing sigma_min."""
+    """Grow the subset one index at a time, each time maximizing sigma_min.
+
+    The Gram rows of the picks are computed from the columns as they are
+    picked, so target_size * dim * count products replace the count x count
+    Gram matrix.
+    """
     if not 1 <= target_size <= system.count:
         raise BadTarget(f"target size must be in [1, {system.count}]")
     cols = _validated_columns(system, normalize)
-    chosen, _ = greedy_order(gram(cols), target_size)
+    re, im = cols.real, cols.imag
+    sq_norms = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
+    chosen, _ = _greedy(lambda j: cols[:, j].conj() @ cols, sq_norms, target_size, None)
     bound = smallest_singular_value(cols[:, chosen])
     return SelectionResult(
         subset=tuple(sorted(chosen)),

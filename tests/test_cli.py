@@ -222,6 +222,21 @@ def test_verifications_factor_the_frame_operator_once(factorization_shapes, cano
     assert len(factorization_shapes) <= budget
 
 
+@pytest.mark.parametrize("canonical,formed", [(False, 1), (True, 2)])
+def test_verifications_form_the_frame_operator_once(monkeypatch, canonical, formed):
+    # S itself, and with --canonical the transformed system's own frame operator
+    calls = []
+
+    def counted(system, _original=fk.core.frame_operator):
+        calls.append(system.dim)
+        return _original(system)
+
+    monkeypatch.setattr(fk.core, "frame_operator", counted)
+    monkeypatch.setattr(fk.cli, "frame_operator", counted)
+    _run_verifications(fk.lemma51(10), canonical)
+    assert len(calls) == formed
+
+
 def test_verify_lemmas_rejects_an_integer_too_large_for_a_double(tmp_path, capsys):
     path = tmp_path / "big.json"
     path.write_text('{"v": 1, "dim": 1, "count": 1, "columns": [[1' + "0" * 400 + ", 0]]}")

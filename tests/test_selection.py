@@ -6,8 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import framekit as fk
-from framekit import extraction
+from framekit import core, extraction, selection
 from framekit import serialization as ser
+from framekit.core import gram
 from framekit.errors import BadParameter, BadTarget, TooLarge, ZeroNorm
 from framekit.selection import _first_tied_best, _min_eig, greedy_order
 
@@ -236,3 +237,60 @@ def test_greedy_order_factors_twice_per_pick(factorization_shapes):
     order, _ = greedy_order(g, 30)
     assert len(order) == 30
     assert len(factorization_shapes) <= 2 * len(order)
+
+
+def reference_select_greedy(system, target_size, normalize=False):
+    """select_greedy as it was before it computed only the Gram rows of its
+    picks: greedy_order on the whole count x count Gram.  Test-only reference."""
+    cols = selection._validated_columns(system, normalize)
+    chosen, _ = greedy_order(gram(cols), target_size)
+    return tuple(sorted(chosen)), fk.smallest_singular_value(cols[:, chosen])
+
+
+def prop53_small():
+    system = fk.generate(fk.GallerySpec("prop53Truncation", {"M": 2, "epsilons": [0.2, 0.2]}))
+    assert (system.dim, system.count) == (165, 332)
+    return system
+
+
+SELECT_SYSTEMS = [
+    pytest.param(lambda: fk.orthonormal(6), id="orthonormal"),
+    pytest.param(lambda: fk.lemma51(10), id="lemma51"),
+    pytest.param(lambda: fk.duplicated(12, True), id="duplicated-12-double"),
+    pytest.param(lambda: fk.perturbed_pairs(10), id="perturbedPairs"),
+    pytest.param(lambda: fk.weighted_exponentials(0.25, 16, 1), id="weightedExponentials"),
+    pytest.param(lambda: fk.lemma52_block(2, 0.3), id="lemma52Block"),
+    pytest.param(prop53_small, id="prop53Truncation"),
+    pytest.param(lambda: fk.random_frame(16, 40, 3, 1.0), id="randomFrame-cond1"),
+    pytest.param(lambda: fk.random_frame(16, 40, 3, 1e4), id="randomFrame-cond1e4"),
+]
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("build", SELECT_SYSTEMS)
+def test_select_greedy_matches_the_full_gram_order(build, normalize):
+    system = build()
+    for k in sorted({1, min(8, system.count), system.count // 2}):
+        res = fk.select_greedy(system, k, normalize=normalize)
+        expected = reference_select_greedy(system, k, normalize)
+        assert (res.subset, res.certified_lower_bound) == expected, k
+
+
+def test_select_greedy_matches_the_full_gram_order_on_oracle_corpus():
+    for seed in range(100):
+        system = unit_norm_instance(seed)
+        for k in range(1, system.count + 1):
+            res = fk.select_greedy(system, k)
+            assert (res.subset, res.certified_lower_bound) == reference_select_greedy(system, k)
+
+
+def test_select_greedy_forms_no_count_by_count_gram(monkeypatch):
+    system = prop53_small()
+    expected = fk.select_greedy(system, 8)
+
+    def refuse(columns):
+        raise AssertionError(f"a {columns.shape[1]}x{columns.shape[1]} Gram matrix was formed")
+
+    monkeypatch.setattr(core, "gram", refuse)
+    monkeypatch.setattr(selection, "gram", refuse)
+    assert fk.select_greedy(system, 8) == expected
