@@ -267,6 +267,7 @@ def find_flat_vector(system: VectorSystem, budget: float) -> np.ndarray:
     The minimizer over unit vectors is the bottom eigenvector of the frame
     operator; raises NotFlat (carrying the achieved mass) when even that
     exceeds the budget, in which case callers enlarge the system and retry.
+    The vector is complex128 even when the frame operator is real.
     """
     if budget <= 0.0:
         raise BadParameter("budget must be positive")
@@ -276,7 +277,7 @@ def find_flat_vector(system: VectorSystem, budget: float) -> np.ndarray:
         raise NotFlat(
             f"best analysis mass {achieved:.6g} exceeds budget {budget:.6g}", achieved
         )
-    return vecs[:, 0]
+    return vecs[:, 0].astype(np.complex128)
 
 
 def assemble_block_system(blocks) -> VectorSystem:

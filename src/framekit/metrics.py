@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import VectorSystem
+from .core import VectorSystem, _arithmetic
 from .errors import CountMismatch, TooFewVectors
 
 RANK_RTOL = 1e-12
@@ -44,8 +44,10 @@ def _factor(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Singular values of cols and the R of cols = Q R, or None for dependent columns.
 
     More columns than rows are dependent without a QR; one SVD of cols then
-    gives the singular values.
+    gives the singular values.  Columns with no nonzero imaginary part are
+    factored as float64, so R is then float64 too.
     """
+    cols = _arithmetic(cols)
     n, m = cols.shape
     if m > n:
         return np.linalg.svd(cols, compute_uv=False), None
