@@ -411,27 +411,36 @@ def build_prop53_truncation(
     ms = range(2, depth + 2)
     for m, eps in zip(ms, eps_list):
         flat = _flat_conditional_basis(eps / m, a, start_frequency)
-        n_m = m * flat.system.count
-        _require_size(n_m, 2 * n_m + 1)
-        copies = block_diag(*[flat.system.columns] * m)
-        complement = block_diag(*[_complete_to_onb(flat.flat_vector)] * m)
         flat_basis = block_diag(*[flat.flat_vector[:, None]] * m)
-        cols = np.hstack([copies, complement, flat_basis @ lemma51(m).columns])
-        labels = [f"g{i}" for i in range(n_m)] + [f"e{i}" for i in range(n_m - m)]
-        labels += [f"f{i}" for i in range(m + 1)]
-        layers.append(VectorSystem(cols, tuple(labels)))
+        layers.append(_prop53_layer(flat, m, flat_basis))
         flat_bases.append(flat_basis)
         masses.append(flat.flat_mass)
     assembled = assemble_block_system(layers)
+    # keep only the layer counts, so the layers' columns are freed before normalizing
+    ends = list(itertools.accumulate(layer.count for layer in layers))
+    del layers
     if normalized:
         assembled = VectorSystem(assembled.columns / assembled.norms(), assembled.labels)
-    ends = itertools.accumulate(layer.count for layer in layers)
     subspaces = np.hsplit(block_diag(*flat_bases), list(itertools.accumulate(ms))[:-1])
     blocks = tuple(
         LayeredBlock(m, eps, slice(end - m - 1, end), subspace, mass)
         for m, eps, end, subspace, mass in zip(ms, eps_list, ends, subspaces, masses)
     )
     return assembled, blocks
+
+
+def _prop53_layer(flat: FlatBlock, m: int, flat_basis: np.ndarray) -> VectorSystem:
+    """Layer m of the truncation; its block_diag temporaries are freed on return."""
+    n_m = m * flat.system.count
+    _require_size(n_m, 2 * n_m + 1)
+    cols = np.hstack([
+        block_diag(*[flat.system.columns] * m),
+        block_diag(*[_complete_to_onb(flat.flat_vector)] * m),
+        flat_basis @ lemma51(m).columns,
+    ])
+    labels = [f"g{i}" for i in range(n_m)] + [f"e{i}" for i in range(n_m - m)]
+    labels += [f"f{i}" for i in range(m + 1)]
+    return VectorSystem(cols, tuple(labels))
 
 
 def _complete_to_onb(vector: np.ndarray) -> np.ndarray:

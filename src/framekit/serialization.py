@@ -74,17 +74,27 @@ def system_to_json(system: VectorSystem) -> dict:
     return doc
 
 
-def _system_text(system: VectorSystem) -> str:
-    """dumps(system_to_json(system)), without a Python list per [re, im] pair.
+# [re, im] pairs per block of a system file that save_system formats and
+# load_system decodes at once (about 0.7 MB of text)
+_BLOCK_PAIRS = 1 << 14
+
+
+def _system_chunks(system: VectorSystem):
+    """The pieces of dumps(system_to_json(system)), one block of pairs at a time.
 
     json writes a finite double (every system entry is finite) as
     float.__repr__, which is what %r writes.  "columns" sorts first and dumps
     separates items with ",", so the pair text goes in front of the dumps of
-    the other fields.
+    the other fields.  Only one block's floats are Python objects at a time.
     """
-    floats = _column_floats(system.columns).ravel().tolist()
-    pairs = "[%r,%r]," * (len(floats) // 2) % tuple(floats)
-    return '{"columns": [' + pairs[:-1] + "]," + dumps(_system_fields(system))[1:]
+    floats = _column_floats(system.columns).ravel()
+    step = 2 * _BLOCK_PAIRS
+    yield '{"columns": ['
+    for i in range(0, len(floats), step):
+        block = floats[i:i + step].tolist()
+        pairs = "[%r,%r]," * (len(block) // 2) % tuple(block)
+        yield pairs if i + step < len(floats) else pairs[:-1]
+    yield "]," + dumps(_system_fields(system))[1:]
 
 
 def _expect(doc: dict, field: str, kinds) -> object:
@@ -175,7 +185,8 @@ def _pair_error(pairs: list) -> SchemaError:
 
 
 def save_system(system: VectorSystem, path) -> None:
-    Path(path).write_text(_system_text(system))
+    with Path(path).open("w") as f:
+        f.writelines(_system_chunks(system))
 
 
 def load_system(path) -> VectorSystem:
@@ -194,11 +205,13 @@ _NUMBER_CHARS = dict.fromkeys(map(ord, "0123456789.-+eE"))
 def _system_from_writer_text(text: str) -> VectorSystem | None:
     """load_system for the layout save_system writes, without a Python list per pair.
 
-    The columns body goes to json.loads as one flat list of numbers, so the JSON
-    scanner still checks every token and makes the same int and float objects
-    as a parse of the whole text; np.fromiter converts them as _flat_pairs does.
-    Any text not in the writer's layout returns None and takes the general path,
-    which then gives every result and diagnostic.  Each check is one C-level pass.
+    The pairs text [re,im],...,[re,im] is cut at "],[" into blocks of about
+    _BLOCK_PAIRS pairs.  Each block goes to json.loads as one flat list of
+    numbers, so the JSON scanner still checks every token and makes the same
+    int and float objects as a parse of the whole text; np.fromiter converts
+    them as _flat_pairs does, into one preallocated array.  Any text not in the
+    writer's layout returns None and takes the general path, which then gives
+    every result and diagnostic.  Each check is one C-level pass per block.
     """
     if not text.startswith(_WRITER_PREFIX):
         return None
@@ -206,23 +219,40 @@ def _system_from_writer_text(text: str) -> VectorSystem | None:
     # ',"' after the first "]]" rules out a tail such as ",}", which would parse as "{}"
     if end < 0 or not text.startswith(',"', end + 2):
         return None
-    seg = "[" + text[len(_WRITER_PREFIX):end] + "]"
-    n_pairs = seg.count("],[") + 1
-    # exactly n_pairs brackets of two tokens each, the tokens made of number characters
-    if seg.translate(_NUMBER_CHARS) != "[" + ",],[" * (n_pairs - 1) + ",]":
-        return None
     try:
-        numbers = json.loads(seg.replace("],[", ","))
         fields = json.loads("{" + text[end + 3:])
     except (ValueError, RecursionError):
         return None
     # json.loads of the whole text would keep the last of two "columns" keys
-    if len(numbers) != 2 * n_pairs or "columns" in fields:
+    if "columns" in fields:
         return None
-    try:
-        flat = np.fromiter(numbers, np.float64, count=2 * n_pairs)
-    except OverflowError:
-        return None
+    start, stop = len(_WRITER_PREFIX) - 1, end + 1
+    n_pairs = text.count("],[", start, stop) + 1
+    flat = np.empty(2 * n_pairs)
+    # _BLOCK_PAIRS times the mean length of a pair and its comma
+    step = _BLOCK_PAIRS * (stop + 1 - start) // n_pairs
+    filled = 0
+    while start < stop:
+        # a block ends at the first "],[" whose "[" lies at or past start + step
+        cut = text.find("],[", start + max(step - 2, 1), stop)
+        cut = stop if cut < 0 else cut + 1
+        block = text[start:cut]
+        start = cut + 1
+        k = block.count("],[") + 1
+        # exactly k brackets of two tokens each, the tokens made of number characters
+        if block.translate(_NUMBER_CHARS) != "[" + ",],[" * (k - 1) + ",]":
+            return None
+        try:
+            numbers = json.loads(block.replace("],[", ","))
+        except ValueError:
+            return None
+        if len(numbers) != 2 * k:
+            return None
+        try:
+            flat[filled:filled + 2 * k] = np.fromiter(numbers, np.float64, count=2 * k)
+        except OverflowError:
+            return None
+        filled += 2 * k
     pairs = flat.reshape(n_pairs, 2)
     return _system_from_fields(fields, lambda: pairs, np.ravel)
 

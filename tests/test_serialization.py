@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ def test_system_round_trip_extreme_floats(values):
     cols = np.array([[complex(values[0], values[1])], [complex(values[2], values[3])]])
     vs = fk.VectorSystem(cols)
     text = ser.dumps(ser.system_to_json(vs))
-    assert ser._system_text(vs) == text
+    assert "".join(ser._system_chunks(vs)) == text
     back = ser.system_from_json(json.loads(text))
     assert np.array_equal(vs.columns, back.columns)
 
@@ -543,3 +544,115 @@ def test_load_system_decodes_mutated_text_like_the_general_path(name, tmp_path):
     path.write_text(text, encoding="utf-8")
     assert text != writer_text(pairs, tail)
     assert load_outcome(ser.load_system, path) == load_outcome(general_load, path)
+
+
+# ---------------------------------------------------------------------------
+# save_system and load_system work in blocks of _BLOCK_PAIRS pairs
+
+
+@pytest.fixture(params=[1, 2, 3])
+def small_blocks(request, monkeypatch):
+    """Blocks of 1, 2 or 3 pairs, so that block edges fall between the pairs of small systems."""
+    monkeypatch.setattr(ser, "_BLOCK_PAIRS", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("name", TEXT_MUTATIONS)
+def test_small_blocks_decode_mutated_text_like_the_general_path(name, small_blocks, tmp_path):
+    test_load_system_decodes_mutated_text_like_the_general_path(name, tmp_path)
+
+
+@pytest.mark.parametrize("system", parity_systems(), ids=lambda s: repr(s))
+def test_small_blocks_read_the_writers_layout_without_the_general_parser(
+    system, small_blocks, tmp_path, monkeypatch
+):
+    test_load_system_reads_the_writers_layout_without_the_general_parser(
+        system, tmp_path, monkeypatch
+    )
+
+
+@pytest.mark.parametrize("system", parity_systems(), ids=lambda s: repr(s))
+def test_small_blocks_write_the_per_entry_codec_bytes(system, small_blocks, tmp_path):
+    ser.save_system(system, tmp_path / "system.json")
+    written = (tmp_path / "system.json").read_bytes()
+    assert written == ser.dumps(reference_system_to_json(system)).encode()
+
+
+def reader_block_pairs(text, monkeypatch):
+    """The number of pairs in each block that load_system's fast path decodes."""
+    sizes = []
+    loads = json.loads
+
+    def recording_loads(s, *args, **kwargs):
+        value = loads(s, *args, **kwargs)
+        if isinstance(value, list):  # a block, not the fields after the pairs
+            sizes.append(len(value) // 2)
+        return value
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "loads", recording_loads)
+        assert ser._system_from_writer_text(text) is not None
+    return sizes
+
+
+B = ser._BLOCK_PAIRS
+# random_frame(n, m) has n * m pairs: B - 1, B, B + 1 and 2B + 1
+BLOCK_EDGE_FRAMES = [(127, 129), (128, 128), (113, 145), (99, 331)]
+
+
+@pytest.mark.parametrize("n,m", BLOCK_EDGE_FRAMES)
+def test_systems_at_the_block_edges_round_trip(n, m, tmp_path, monkeypatch):
+    system = fk.random_frame(n, m, 5)
+    text = "".join(ser._system_chunks(system))
+    assert text == ser.dumps(reference_system_to_json(system))
+    sizes = reader_block_pairs(text, monkeypatch)
+    assert sum(sizes) == n * m
+    assert all(B // 2 <= k <= 2 * B for k in sizes[:-1])  # about B pairs each
+    test_load_system_reads_the_writers_layout_without_the_general_parser(
+        system, tmp_path, monkeypatch
+    )
+
+
+# each at least as long as any repr of a double, so the bad text is cut where the good one is
+LONG_BAD_TOKENS = {
+    "int past the double range": str(10**400),
+    "float past the double range": "9" * 30 + "e300",  # json reads it as inf
+    "string": '"' + "0" * 30 + '"',
+    "not JSON": "1.2.3" + "4" * 30,
+}
+
+
+@pytest.mark.parametrize("block", [0, 1])
+@pytest.mark.parametrize("name", LONG_BAD_TOKENS)
+def test_a_bad_token_in_the_last_pair_of_a_block(name, block, tmp_path, monkeypatch):
+    system = fk.random_frame(99, 331, 5)  # 2B + 1 pairs
+    flat = ser._column_floats(system.columns).ravel().tolist()
+    pairs = [[repr(flat[i]), repr(flat[i + 1])] for i in range(0, len(flat), 2)]
+    tail = ser.dumps(ser._system_fields(system))[1:]
+    assert writer_text(pairs, tail) == "".join(ser._system_chunks(system))
+    sizes = reader_block_pairs(writer_text(pairs, tail), monkeypatch)
+    assert len(sizes) >= 2
+    last = sum(sizes[:block + 1]) - 1
+    path = tmp_path / "system.json"
+    path.write_text(_set_token(last, 1, LONG_BAD_TOKENS[name])(pairs, tail), encoding="utf-8")
+    assert load_outcome(ser.load_system, path) == load_outcome(general_load, path)
+
+
+def traced_peak(call):
+    """The peak of the memory traced by tracemalloc during call(), in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_and_load_hold_one_block_of_python_floats(tmp_path):
+    system = fk.random_frame(128, 2048, 3, 100.0)  # 16 blocks of pairs
+    path = tmp_path / "system.json"
+    ser.save_system(system, path)
+    text_bytes, array_bytes = path.stat().st_size, system.columns.nbytes
+    # a Python float per entry alone would take 24 bytes per 8-byte double
+    assert traced_peak(lambda: ser.save_system(system, path)) <= 2 * array_bytes + 2**21
+    assert traced_peak(lambda: ser.load_system(path)) <= 2 * text_bytes + 2 * array_bytes
