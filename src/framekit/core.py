@@ -169,9 +169,7 @@ def frame_operator(system: VectorSystem) -> np.ndarray:
     S is float64 (real symmetric) when no column entry has a nonzero imaginary
     part, and complex128 otherwise.
     """
-    cols = _arithmetic(system.columns)
-    s = cols @ cols.conj().T
-    return 0.5 * (s + s.conj().T)
+    return gram(_arithmetic(system.columns).conj().T)
 
 
 def frame_bounds(system: VectorSystem) -> tuple[float, float]:

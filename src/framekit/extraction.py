@@ -29,7 +29,7 @@ from .errors import (
     RoundLimit,
     ZeroNorm,
 )
-from .metrics import riesz_constant, separation_and_norm
+from .metrics import _operator_norm, riesz_constant, separation_and_norm
 from .selection import bt_guarantee_size, greedy_order
 
 ROUND_CAP = 64
@@ -115,17 +115,6 @@ def theoretical_bound(eps: float, separation: float, hilbertian: float, c: float
     return bound_certificate(eps, separation, hilbertian, c).value
 
 
-def _operator_norm(work: np.ndarray, work_gram: np.ndarray) -> float:
-    """||work||_2 as the root of the largest eigenvalue of the smaller Gram matrix.
-
-    work_gram is gram(work); when work has more columns than rows, work work^H
-    is the smaller one.
-    """
-    if work.shape[1] > work.shape[0]:
-        work_gram = gram(work.conj().T)
-    return math.sqrt(float(np.linalg.eigvalsh(work_gram)[-1]))
-
-
 def _peel(system: VectorSystem, mode: str, parameters: dict) -> ExtractionTrace:
     """Shared peeling engine, driven by the parameters it records in the trace.
 
@@ -165,9 +154,8 @@ def _peel(system: VectorSystem, mode: str, parameters: dict) -> ExtractionTrace:
                 work, floor, normalized = work / norms[pool], 1.0, True
             if floor <= 0.0:
                 raise GuaranteeEmpty("all residuals vanished before reaching coverage")
-            pool_gram = gram(work)
-            guarantee = bt_guarantee_size(len(pool), _operator_norm(work, pool_gram), c)
-            order, bounds = greedy_order(pool_gram, target - len(selected), stop_below=c * floor)
+            guarantee = bt_guarantee_size(len(pool), _operator_norm(work), c)
+            order, bounds = greedy_order(gram(work), target - len(selected), stop_below=c * floor)
             if not order:
                 raise GuaranteeEmpty(
                     f"round {index}: guarantee size {guarantee} and no certifiable pick"

@@ -13,12 +13,15 @@ cols = Q R of the m independent columns, in the m x m coordinates of R:
   f_j to the span of the others is 1 / ||row j of R^-1||;
 * the prefix projector onto the first p vectors along the rest is
   Q [[I, R12 R22^-1], [0, 0]] Q^H with R12 = R[:p, p:] and R22 = R[p:, p:],
-  so its norm is sqrt(1 + ||R12 R22^-1||^2).
+  so its norm is sqrt(1 + ||R12 R22^-1||^2).  The block-triangular inverse
+  gives R12 R22^-1 = -R11 (R^-1)12, so separation and every prefix read the
+  one R^-1 that a single triangular solve forms.
 
 The singular values of R are those of cols.  Columns that are dependent (more
 vectors than dimensions, or rank below m at relative tolerance RANK_RTOL) have
 separation exactly 0 and infinite Besselian and Schauder constants.  Every
-singular value and rank decision here comes from that one kernel, _factor.
+singular value and rank decision here comes from one kernel, _factor, and
+every operator 2-norm from one kernel, _operator_norm.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import VectorSystem, _arithmetic
+from .core import VectorSystem, _arithmetic, gram
 from .errors import CountMismatch, TooFewVectors
 
 RANK_RTOL = 1e-12
@@ -81,23 +84,30 @@ def _hilbertian_besselian(svals: np.ndarray, r: np.ndarray | None) -> tuple[floa
     return float(svals[0]), (math.inf if r is None else float(1.0 / svals[-1]))
 
 
-def _separation(r: np.ndarray | None) -> float:
-    """min_j 1 / ||row j of R^-1||, or 0.0 for dependent columns."""
+def _operator_norm(mat: np.ndarray) -> float:
+    """||mat||_2 as the root of the largest eigenvalue of the Gram of mat's smaller side."""
+    if mat.shape[1] > mat.shape[0]:
+        mat = mat.conj().T
+    return math.sqrt(float(np.linalg.eigvalsh(gram(mat))[-1]))
+
+
+def _separation(r: np.ndarray | None) -> tuple[float, np.ndarray | None]:
+    """(min_j 1 / ||row j of R^-1||, R^-1) from one triangular solve, or (0.0, None)."""
     if r is None:
-        return 0.0
+        return 0.0, None
     r_inv = scipy.linalg.solve_triangular(r, np.eye(r.shape[0], dtype=r.dtype))
-    return float(1.0 / np.linalg.norm(r_inv, axis=1).max())
+    return float(1.0 / np.linalg.norm(r_inv, axis=1).max()), r_inv
 
 
-def _schauder(r: np.ndarray | None) -> float:
-    """max over prefixes p of sqrt(1 + ||R[:p, p:] R[p:, p:]^-1||^2), or inf."""
+def _schauder(r: np.ndarray | None, r_inv: np.ndarray | None) -> float:
+    """max over prefixes p of sqrt(1 + ||R[:p, :p] (R^-1)[:p, p:]||^2), or inf."""
     if r is None:
         return math.inf
     constant = 1.0
     for p in range(1, r.shape[0]):
-        # R22^H X^H = R12^H gives X = R12 R22^-1 without forming the inverse
-        coupling = scipy.linalg.solve_triangular(r[p:, p:], r[:p, p:].conj().T, trans="C")
-        constant = max(constant, math.hypot(1.0, float(np.linalg.norm(coupling, 2))))
+        # R12 R22^-1 = -R11 (R^-1)12, and the sign does not change the norm
+        coupling = _operator_norm(r[:p, :p] @ r_inv[:p, p:])
+        constant = max(constant, math.hypot(1.0, coupling))
     return constant
 
 
@@ -134,9 +144,12 @@ def schauder_basis_constant(system: VectorSystem, order=None) -> float:
     K ||sum_i a_i f_i|| over all proper prefixes p and coefficient choices;
     it is order-dependent.  Returns infinity for dependent columns.  With the
     columns in evaluation order factored as Q R, the prefix-p projection has
-    norm sqrt(1 + ||R[:p, p:] R[p:, p:]^-1||^2).
+    norm sqrt(1 + ||R12 R22^-1||^2), and R12 R22^-1 = -R11 (R^-1)12 reads
+    every prefix off one R^-1.  Each of the m - 1 norms is exact, from
+    _operator_norm.
     """
-    return _schauder(_factor(_ordered_columns(system, order))[1])
+    r = _factor(_ordered_columns(system, order))[1]
+    return _schauder(r, _separation(r)[1])
 
 
 def separation_constant(system: VectorSystem) -> float:
@@ -150,7 +163,7 @@ def separation_constant(system: VectorSystem) -> float:
         raise TooFewVectors("separation needs at least two vectors")
     if m > system.dim:
         return 0.0
-    return _separation(_factor(system.columns)[1])
+    return _separation(_factor(system.columns)[1])[0]
 
 
 def separation_and_norm(system: VectorSystem) -> tuple[float, float]:
@@ -159,7 +172,7 @@ def separation_and_norm(system: VectorSystem) -> tuple[float, float]:
     A single vector's separation is its norm, as in basis_metrics.
     """
     svals, r = _factor(system.columns)
-    return _separation(r), float(svals[0])
+    return _separation(r)[0], float(svals[0])
 
 
 def _kernel_split(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -192,14 +205,12 @@ def equivalence_constant(system_a: VectorSystem, system_b: VectorSystem) -> floa
     scale_a = float(vals_a.max())
     scale_b = float(vals_b.max())
     if null_a.shape[1]:
-        if np.linalg.norm(gram_b @ null_a, 2) > 1e-9 * scale_b:
+        if _operator_norm(gram_b @ null_a) > 1e-9 * scale_b:
             return math.inf
-        if np.linalg.norm(gram_a @ null_b, 2) > 1e-9 * scale_a:
+        if _operator_norm(gram_a @ null_b) > 1e-9 * scale_a:
             return math.inf
-    reduced_a = range_a.conj().T @ gram_a @ range_a
-    reduced_b = range_a.conj().T @ gram_b @ range_a
-    reduced_a = 0.5 * (reduced_a + reduced_a.conj().T)
-    reduced_b = 0.5 * (reduced_b + reduced_b.conj().T)
+    reduced_a = gram(system_a.columns @ range_a)
+    reduced_b = gram(system_b.columns @ range_a)
     pencil = scipy.linalg.eigh(reduced_b, reduced_a, eigvals_only=True)
     lo = max(float(pencil[0]), 0.0)
     hi = max(float(pencil[-1]), 0.0)
@@ -227,12 +238,13 @@ def basis_metrics(system: VectorSystem, order=None) -> BasisMetrics:
     vector gets separation = its norm.
     """
     svals, r = _factor(_ordered_columns(system, order))
+    separation, r_inv = _separation(r)
     hilbertian, besselian = _hilbertian_besselian(svals, r)
     return BasisMetrics(
         riesz=max(hilbertian, besselian),
         hilbertian=hilbertian,
         besselian=besselian,
-        schauder=_schauder(r),
-        separation=_separation(r),
+        schauder=_schauder(r, r_inv),
+        separation=separation,
         singular_values=tuple(float(s) for s in svals),
     )

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
 import framekit as fk
 from framekit.errors import CountMismatch, TooFewVectors
-from framekit.metrics import RANK_RTOL, _rank
+from framekit.metrics import RANK_RTOL, _operator_norm, _rank
 
 DELTA = 0.1
 
@@ -357,8 +358,15 @@ def test_separation_and_schauder_match_reference_on_random_systems(seed):
         lambda: fk.weighted_exponentials(0.25, 64, 1),
         lambda: fk.weighted_exponentials(0.25, 64, -1),
         lambda: fk.lemma52_block(3, 0.1),
+        lambda: fk.random_frame(24, 24, 5, 1e20),  # synthesis condition number 1e10
     ],
-    ids=["perturbed_pairs", "weighted_exponentials+", "weighted_exponentials-", "lemma52_block"],
+    ids=[
+        "perturbed_pairs",
+        "weighted_exponentials+",
+        "weighted_exponentials-",
+        "lemma52_block",
+        "random_frame_kappa_1e10",
+    ],
 )
 def test_separation_and_schauder_match_reference_on_gallery(make):
     vs = make()
@@ -399,3 +407,57 @@ def test_basis_metrics_factors_the_columns_once(factorization_shapes, shape):
     factorization_shapes.clear()
     fk.basis_metrics(vs, order=rng.permutation(vs.count))
     assert factorization_shapes.count(shape) == 1
+
+
+# ---------------------------------------------------------------------------
+# the one operator-norm kernel and the one triangular inverse per basis
+
+
+def _norm_inputs():
+    rng = np.random.default_rng(7)
+
+    def cplx(n, m):
+        return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+
+    return {
+        "tall-complex": cplx(9, 4),
+        "wide-complex": cplx(4, 9),
+        "square-complex": cplx(6, 6),
+        "tall-real": rng.standard_normal((8, 3)),
+        "wide-real": rng.standard_normal((3, 8)),
+        "rank2-complex": cplx(7, 2) @ cplx(2, 5),
+        "rank1-real": np.outer(rng.standard_normal(6), rng.standard_normal(4)),
+        "1x1-complex": np.array([[3.0 - 4.0j]]),
+        "1x1-real": np.array([[-2.5]]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_norm_inputs()))
+def test_operator_norm_matches_svd_norm(name):
+    mat = _norm_inputs()[name]
+    assert _operator_norm(mat) == pytest.approx(np.linalg.norm(mat, 2), rel=1e-14)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_operator_norm_of_zero_is_exactly_zero(dtype):
+    assert _operator_norm(np.zeros((5, 3), dtype=dtype)) == 0.0
+
+
+@pytest.mark.parametrize("routine", [fk.basis_metrics, fk.schauder_basis_constant])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_basis_takes_one_triangular_solve_and_one_eigvalsh_per_prefix(monkeypatch, routine, real):
+    # np.linalg.norm(x, 2) runs its SVD inside numpy, out of reach of the
+    # conftest patches, so count by routine name here
+    m = 7
+    cols = fk.random_frame(m, m, 4, 1e4).columns
+    vs = fk.VectorSystem(cols.real if real else cols)
+    calls = []
+    for module, name in [(scipy.linalg, "solve_triangular"), (np.linalg, "eigvalsh")]:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    routine(vs, order=np.random.default_rng(m).permutation(m))
+    assert calls.count("solve_triangular") == 1
+    assert calls.count("eigvalsh") == m - 1
