@@ -19,13 +19,6 @@ from .errors import BadParameter, DimensionMismatch, NotSpanning, ZeroNorm
 DEFAULT_TOLERANCE = 1e-10
 
 
-def _as_column_matrix(values) -> np.ndarray:
-    cols = np.array(values, dtype=np.complex128, order="C")
-    if cols.ndim != 2:
-        raise BadParameter(f"columns must be a 2-d array, got ndim={cols.ndim}")
-    return cols
-
-
 def _arithmetic(columns: np.ndarray) -> np.ndarray:
     """columns as contiguous float64 when no entry has a nonzero imaginary part.
 
@@ -46,27 +39,50 @@ def gram(columns: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class VectorSystem:
-    """An indexed family of vectors f_1..f_m in C^n, one per matrix column."""
+    """An indexed family of vectors f_1..f_m in C^n, one per matrix column.
+
+    Every system owns one frozen C-order complex128 copy of its columns.  The
+    constructor always copies, so a system never shares memory with the
+    caller's array and the caller's array stays writeable.  Builders and the
+    loader that allocate a fresh array themselves hand it over through the
+    private ``_own``, which runs the same checks and freezes it without a copy.
+    """
 
     columns: np.ndarray
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        cols = _as_column_matrix(self.columns)
+        self._adopt(np.array(self.columns, dtype=np.complex128, order="C"), self.labels)
+
+    @classmethod
+    def _own(cls, cols: np.ndarray, labels=None) -> "VectorSystem":
+        """The system of a fresh C-order complex128 array that nothing else will write.
+
+        The array is checked and frozen as the constructor's copy is, and
+        becomes the system's columns without being copied.
+        """
+        system = object.__new__(cls)
+        system._adopt(cols, labels)
+        return system
+
+    def _adopt(self, cols: np.ndarray, labels) -> None:
+        """Check cols and labels, freeze cols and store both on self."""
+        if cols.ndim != 2:
+            raise BadParameter(f"columns must be a 2-d array, got ndim={cols.ndim}")
         n, m = cols.shape
         if n < 1 or m < 1:
             raise BadParameter(f"system needs dim >= 1 and count >= 1, got {n}x{m}")
         if not np.all(np.isfinite(cols.view(np.float64))):
             raise BadParameter("system entries must be finite")
-        cols.setflags(write=False)
-        object.__setattr__(self, "columns", cols)
-        if self.labels is not None:
-            labels = tuple(str(x) for x in self.labels)
+        if labels is not None:
+            labels = tuple(str(x) for x in labels)
             if len(labels) != m:
                 raise BadParameter(f"expected {m} labels, got {len(labels)}")
             if len(set(labels)) != m:
                 raise BadParameter("labels must be pairwise distinct")
-            object.__setattr__(self, "labels", labels)
+        cols.setflags(write=False)
+        object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def dim(self) -> int:
@@ -77,8 +93,13 @@ class VectorSystem:
         return self.columns.shape[1]
 
     def norms(self) -> np.ndarray:
-        """Column norms ||f_i||, shape (count,)."""
-        return np.linalg.norm(self.columns, axis=0)
+        """Column norms ||f_i||, shape (count,).
+
+        The bits of np.linalg.norm(columns, axis=0), formed in a real buffer
+        half the size of the columns instead of two complex copies of them
+        (_column_norms).
+        """
+        return _column_norms(self.columns)
 
     def gram(self) -> np.ndarray:
         """Hermitian Gram matrix of pairwise inner products, shape (count, count)."""
@@ -94,6 +115,26 @@ class VectorSystem:
 
     def __repr__(self):
         return f"VectorSystem(dim={self.dim}, count={self.count})"
+
+
+# rows of a system whose squared moduli _column_norms forms at once
+_NORM_ROWS = 64
+
+
+def _column_norms(columns: np.ndarray) -> np.ndarray:
+    """The norms of the columns, bit for bit those of np.linalg.norm(columns, axis=0).
+
+    np.linalg.norm sums (x.conj() * x).real down the columns; that takes two
+    complex temporaries the size of columns.  Here the same squared moduli
+    fill one real buffer (half that size) in blocks of _NORM_ROWS rows, and
+    the same np.add.reduce sums it.  Blocks of columns, or re*re + im*im,
+    give other bits.
+    """
+    squares = np.empty(columns.shape)
+    for r in range(0, columns.shape[0], _NORM_ROWS):
+        rows = columns[r:r + _NORM_ROWS]
+        squares[r:r + _NORM_ROWS] = (rows.conj() * rows).real
+    return np.sqrt(np.add.reduce(squares, axis=0))
 
 
 @dataclass(frozen=True)
@@ -160,7 +201,8 @@ def analysis_apply(system: VectorSystem, f) -> np.ndarray:
     vec = np.asarray(f, dtype=np.complex128).reshape(-1)
     if vec.shape[0] != system.dim:
         raise DimensionMismatch(f"expected a dim-{system.dim} vector, got {vec.shape[0]}")
-    return system.columns.conj().T @ vec
+    # conjugating the product, not the columns, makes no copy of the columns
+    return (vec.conj() @ system.columns).conj()
 
 
 def frame_operator(system: VectorSystem) -> np.ndarray:

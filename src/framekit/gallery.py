@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag
 
-from .core import VectorSystem, frame_operator
+from .core import VectorSystem, _column_norms, frame_operator
 from .errors import BadParameter, EmptyInput, NotFlat, QuadratureFailure
 from .metrics import schauder_basis_constant, smallest_singular_value
 
@@ -286,6 +286,11 @@ def assemble_block_system(blocks) -> VectorSystem:
     The frame operator is block-diagonal, so the assembled frame bounds are
     the min/max of the block bounds.
     """
+    return VectorSystem._own(*_block_columns(blocks))
+
+
+def _block_columns(blocks) -> tuple[np.ndarray, tuple[str, ...] | None]:
+    """The columns, in a fresh array, and the labels of assemble_block_system(blocks)."""
     blocks = list(blocks)
     if not blocks:
         raise EmptyInput("need at least one block")
@@ -294,7 +299,7 @@ def assemble_block_system(blocks) -> VectorSystem:
     labels = None
     if all(b.labels is not None for b in blocks):
         labels = tuple(f"b{j}:{lab}" for j, b in enumerate(blocks) for lab in b.labels)
-    return VectorSystem(cols, labels)
+    return cols, labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,12 +420,13 @@ def build_prop53_truncation(
         layers.append(_prop53_layer(flat, m, flat_basis))
         flat_bases.append(flat_basis)
         masses.append(flat.flat_mass)
-    assembled = assemble_block_system(layers)
+    cols, labels = _block_columns(layers)
     # keep only the layer counts, so the layers' columns are freed before normalizing
     ends = list(itertools.accumulate(layer.count for layer in layers))
     del layers
     if normalized:
-        assembled = VectorSystem(assembled.columns / assembled.norms(), assembled.labels)
+        cols /= _column_norms(cols)
+    assembled = VectorSystem._own(cols, labels)
     subspaces = np.hsplit(block_diag(*flat_bases), list(itertools.accumulate(ms))[:-1])
     blocks = tuple(
         LayeredBlock(m, eps, slice(end - m - 1, end), subspace, mass)
@@ -440,7 +446,7 @@ def _prop53_layer(flat: FlatBlock, m: int, flat_basis: np.ndarray) -> VectorSyst
     ])
     labels = [f"g{i}" for i in range(n_m)] + [f"e{i}" for i in range(n_m - m)]
     labels += [f"f{i}" for i in range(m + 1)]
-    return VectorSystem(cols, tuple(labels))
+    return VectorSystem._own(cols, labels)
 
 
 def _complete_to_onb(vector: np.ndarray) -> np.ndarray:

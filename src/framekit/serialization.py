@@ -80,20 +80,22 @@ _BLOCK_PAIRS = 1 << 14
 
 
 def _system_chunks(system: VectorSystem):
-    """The pieces of dumps(system_to_json(system)), one block of pairs at a time.
+    """The pieces of dumps(system_to_json(system)), one block of whole columns at a time.
 
     json writes a finite double (every system entry is finite) as
     float.__repr__, which is what %r writes.  "columns" sorts first and dumps
     separates items with ",", so the pair text goes in front of the dumps of
-    the other fields.  Only one block's floats are Python objects at a time.
+    the other fields.  A block is max(1, _BLOCK_PAIRS // dim) columns, so only
+    one block's floats are Python objects, and only one block of the columns
+    is copied into file order, at a time.
     """
-    floats = _column_floats(system.columns).ravel()
-    step = 2 * _BLOCK_PAIRS
+    cols = system.columns
+    step = max(1, _BLOCK_PAIRS // system.dim)
     yield '{"columns": ['
-    for i in range(0, len(floats), step):
-        block = floats[i:i + step].tolist()
+    for j in range(0, system.count, step):
+        block = _column_floats(cols[:, j:j + step]).ravel().tolist()
         pairs = "[%r,%r]," * (len(block) // 2) % tuple(block)
-        yield pairs if i + step < len(floats) else pairs[:-1]
+        yield pairs if j + step < system.count else pairs[:-1]
     yield "]," + dumps(_system_fields(system))[1:]
 
 
@@ -117,15 +119,26 @@ def _expect_indices(doc: dict, field: str) -> tuple[int, ...]:
 def system_from_json(doc) -> VectorSystem:
     if not isinstance(doc, dict):
         raise SchemaError("system document must be a JSON object")
-    return _system_from_fields(doc, lambda: _expect(doc, "columns", list), _flat_pairs)
+    return _system_from_fields(doc, lambda dim, count: _columns_of_pairs(doc, dim, count))
 
 
-def _system_from_fields(doc: dict, get_pairs, flatten) -> VectorSystem:
+def _columns_of_pairs(doc: dict, dim: int, count: int) -> np.ndarray:
+    """The (dim, count) columns of the "columns" pairs of doc, in a fresh C-order array."""
+    pairs = _expect(doc, "columns", list)
+    if len(pairs) != dim * count:
+        raise SchemaError(
+            f"field 'columns': expected {dim * count} [re, im] pairs, got {len(pairs)}"
+        )
+    return np.ascontiguousarray(_flat_pairs(pairs).view(np.complex128).reshape(count, dim).T)
+
+
+def _system_from_fields(doc: dict, columns) -> VectorSystem:
     """The system of a v1 document: every field check but the decoding of the pairs.
 
-    get_pairs() returns the "columns" value, once "dim" and "count" are checked,
-    and flatten(pairs) its entries as doubles in file order.  Both decoders end
-    here, so they raise the same SchemaError for the same document.
+    columns(dim, count) returns the decoded columns, once "dim" and "count"
+    are checked, as a fresh C-order complex128 array that the system then
+    owns.  Both decoders end here, so they raise the same SchemaError for the
+    same document.
     """
     if doc.get("v") != SCHEMA_VERSION:
         raise SchemaError(f"field 'v': expected {SCHEMA_VERSION}, got {doc.get('v')!r}")
@@ -135,19 +148,14 @@ def _system_from_fields(doc: dict, get_pairs, flatten) -> VectorSystem:
         raise SchemaError(f"field 'dim': must be >= 1, got {dim}")
     if count < 1:
         raise SchemaError(f"field 'count': must be >= 1, got {count}")
-    pairs = get_pairs()
-    if len(pairs) != dim * count:
-        raise SchemaError(
-            f"field 'columns': expected {dim * count} [re, im] pairs, got {len(pairs)}"
-        )
-    cols = flatten(pairs).view(np.complex128).reshape(count, dim).T
+    cols = columns(dim, count)
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise SchemaError("field 'labels': expected a list of strings")
         labels = tuple(labels)
     try:
-        return VectorSystem(cols, labels)
+        return VectorSystem._own(cols, labels)
     except BadParameter as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -209,7 +217,9 @@ def _system_from_writer_text(text: str) -> VectorSystem | None:
     _BLOCK_PAIRS pairs.  Each block goes to json.loads as one flat list of
     numbers, so the JSON scanner still checks every token and makes the same
     int and float objects as a parse of the whole text; np.fromiter converts
-    them as _flat_pairs does, into one preallocated array.  Any text not in the
+    them as _flat_pairs does.  Once the tail's "dim" and "count" match the
+    number of pairs, each block goes straight into the system's own C-order
+    array, so the text and one array are held at once.  Any text not in the
     writer's layout returns None and takes the general path, which then gives
     every result and diagnostic.  Each check is one C-level pass per block.
     """
@@ -228,7 +238,14 @@ def _system_from_writer_text(text: str) -> VectorSystem | None:
         return None
     start, stop = len(_WRITER_PREFIX) - 1, end + 1
     n_pairs = text.count("],[", start, stop) + 1
-    flat = np.empty(2 * n_pairs)
+    dim, count = fields.get("dim"), fields.get("count")
+    # any other header takes the general path, which names what is wrong with it
+    if type(dim) is not int or type(count) is not int:
+        return None
+    if dim < 1 or count < 1 or dim * count != n_pairs:
+        return None
+    cols = np.empty((dim, count), np.complex128)
+    file_order = cols.T.flat  # column-major, the order of the pairs in the text
     # _BLOCK_PAIRS times the mean length of a pair and its comma
     step = _BLOCK_PAIRS * (stop + 1 - start) // n_pairs
     filled = 0
@@ -236,25 +253,34 @@ def _system_from_writer_text(text: str) -> VectorSystem | None:
         # a block ends at the first "],[" whose "[" lies at or past start + step
         cut = text.find("],[", start + max(step - 2, 1), stop)
         cut = stop if cut < 0 else cut + 1
-        block = text[start:cut]
+        pairs = _block_pairs(text[start:cut])
+        if pairs is None:
+            return None
         start = cut + 1
-        k = block.count("],[") + 1
-        # exactly k brackets of two tokens each, the tokens made of number characters
-        if block.translate(_NUMBER_CHARS) != "[" + ",],[" * (k - 1) + ",]":
-            return None
-        try:
-            numbers = json.loads(block.replace("],[", ","))
-        except ValueError:
-            return None
-        if len(numbers) != 2 * k:
-            return None
-        try:
-            flat[filled:filled + 2 * k] = np.fromiter(numbers, np.float64, count=2 * k)
-        except OverflowError:
-            return None
-        filled += 2 * k
-    pairs = flat.reshape(n_pairs, 2)
-    return _system_from_fields(fields, lambda: pairs, np.ravel)
+        file_order[filled:filled + len(pairs)] = pairs
+        filled += len(pairs)
+    return _system_from_fields(fields, lambda dim, count: cols)
+
+
+def _block_pairs(block: str) -> np.ndarray | None:
+    """The pairs of one block "[re,im],...,[re,im]" as complex128, or None off the layout.
+
+    Its text, list and floats are freed on return, before the next block's.
+    """
+    k = block.count("],[") + 1
+    # exactly k brackets of two tokens each, the tokens made of number characters
+    if block.translate(_NUMBER_CHARS) != "[" + ",],[" * (k - 1) + ",]":
+        return None
+    try:
+        numbers = json.loads(block.replace("],[", ","))
+    except ValueError:
+        return None
+    if len(numbers) != 2 * k:
+        return None
+    try:
+        return np.fromiter(numbers, np.float64, count=2 * k).view(np.complex128)
+    except OverflowError:
+        return None
 
 
 def _read_text(path) -> str:

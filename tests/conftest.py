@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -38,3 +40,13 @@ def factorization_shapes(monkeypatch):
 
             monkeypatch.setattr(module, name, counted)
     return shapes
+
+
+def traced_peak(call):
+    """The peak of the memory traced by tracemalloc during call(), in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

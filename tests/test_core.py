@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given
 from hypothesis import strategies as st
 
 import framekit as fk
+from framekit import serialization as ser
 from framekit.errors import (
     BadParameter,
     DimensionMismatch,
@@ -47,6 +51,117 @@ def test_system_columns_are_read_only():
     vs = fk.orthonormal(3)
     with pytest.raises(ValueError):
         vs.columns[0, 0] = 5.0
+
+
+GALLERY_SPECS = {
+    "orthonormal": {"n": 5},
+    "lemma51": {"n": 6},
+    "duplicated": {"n": 4, "doubleAmbient": True},
+    "perturbedPairs": {"n": 7},
+    "weightedExponentials": {"a": 0.25, "N": 5, "sign": -1},
+    "lemma52Block": {"k": 2, "eps": 0.3},
+    "prop53Truncation": {"M": 2, "epsilons": [0.2, 0.2]},
+    "randomFrame": {"n": 9, "m": 17, "seed": 3},
+}
+
+
+def test_gallery_specs_cover_every_gallery_kind():
+    assert sorted(GALLERY_SPECS) == sorted(fk.GALLERY_KINDS)
+
+
+def gallery_system(kind):
+    return fk.generate(fk.GallerySpec(kind, GALLERY_SPECS[kind]))
+
+
+def norm_cases():
+    """Gallery systems, then complex, real-valued and badly scaled ones at the row-block edges."""
+    rng = np.random.default_rng(29)
+    cases = {kind: gallery_system(kind).columns for kind in GALLERY_SPECS}
+    for dim in (1, 2, 63, 64, 65, 129):
+        for count in (1, 5, 65, 130):
+            cases[f"complex {dim}x{count}"] = (
+                rng.standard_normal((dim, count)) + 1j * rng.standard_normal((dim, count))
+            )
+            cases[f"real {dim}x{count}"] = rng.standard_normal((dim, count)) + 0j
+            scales = 10.0 ** rng.integers(-150, 150, size=(dim, count))
+            cases[f"scaled {dim}x{count}"] = scales * np.exp(2j * np.pi * rng.random((dim, count)))
+    return cases
+
+
+NORM_CASES = norm_cases()
+
+
+@pytest.mark.parametrize("name", NORM_CASES)
+def test_norms_are_the_bits_of_linalg_norm(name):
+    system = fk.VectorSystem(NORM_CASES[name])
+    assert np.array_equal(system.norms(), np.linalg.norm(system.columns, axis=0))
+
+
+def test_norms_hold_half_the_columns_at_most():
+    rng = np.random.default_rng(3)
+    system = fk.VectorSystem(rng.standard_normal((1024, 512)) + 1j * rng.standard_normal((1024, 512)))
+    # one real buffer of squared moduli, and row blocks of 64 x 512 entries (0.5 MiB each)
+    assert traced_peak(system.norms) <= system.columns.nbytes // 2 + 2**21
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_analysis_is_the_bits_of_the_conjugate_transpose_product(seed):
+    rng = np.random.default_rng(seed)
+    dim, count = int(rng.integers(1, 70)), int(rng.integers(1, 140))
+    system = small_random_system(seed, dim, count)
+    for vec in (rng.standard_normal(dim) + 1j * rng.standard_normal(dim), rng.standard_normal(dim)):
+        expected = system.columns.conj().T @ vec.astype(complex)
+        assert np.array_equal(fk.analysis_apply(system, vec).view(np.uint64), expected.view(np.uint64))
+
+
+def test_analysis_copies_no_columns():
+    system = small_random_system(4, 512, 512)  # 4 MiB of columns
+    vec = np.ones(512, dtype=complex)
+    assert traced_peak(lambda: fk.analysis_apply(system, vec)) <= 2**16
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_system_copies_the_callers_array(order, dtype):
+    arr = np.asarray(np.arange(12.0).reshape(3, 4) + (1j if dtype is complex else 0), order=order)
+    before = arr.copy()
+    system = fk.VectorSystem(arr)
+    assert not np.shares_memory(system.columns, arr)
+    assert arr.flags.writeable
+    arr[0, 0] = 99.0
+    assert np.array_equal(system.columns, before)
+
+
+def owned(columns):
+    return (
+        columns.dtype == np.complex128
+        and columns.flags.c_contiguous
+        and not columns.flags.writeable
+    )
+
+
+@pytest.mark.parametrize("kind", GALLERY_SPECS)
+def test_built_and_loaded_systems_own_frozen_columns(kind, tmp_path):
+    system = gallery_system(kind)
+    assert owned(system.columns)
+    ser.save_system(system, tmp_path / "system.json")
+    fast = ser.load_system(tmp_path / "system.json")
+    general = ser.system_from_json(json.loads((tmp_path / "system.json").read_text()))
+    for back in (fast, general):
+        assert owned(back.columns)
+        assert not np.shares_memory(back.columns, system.columns)
+    assert not np.shares_memory(fast.columns, general.columns)
+
+
+def test_assembled_and_truncated_systems_share_memory_with_no_input():
+    blocks = [fk.random_frame(3, 5, seed) for seed in range(3)]
+    assembled = fk.assemble_block_system(blocks)
+    assert owned(assembled.columns)
+    assert not any(np.shares_memory(assembled.columns, b.columns) for b in blocks)
+    for normalized in (True, False):
+        system, layers = fk.build_prop53_truncation(2, [0.2, 0.2], normalized=normalized)
+        assert owned(system.columns)
+        assert not any(np.shares_memory(system.columns, layer.flat_subspace) for layer in layers)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -638,16 +638,6 @@ def test_a_bad_token_in_the_last_pair_of_a_block(name, block, tmp_path, monkeypa
     assert load_outcome(ser.load_system, path) == load_outcome(general_load, path)
 
 
-def traced_peak(call):
-    """The peak of the memory traced by tracemalloc during call(), in bytes."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_save_and_load_hold_one_block_of_python_floats(tmp_path):
     system = fk.random_frame(128, 2048, 3, 100.0)  # 16 blocks of pairs
     path = tmp_path / "system.json"
@@ -656,3 +646,44 @@ def test_save_and_load_hold_one_block_of_python_floats(tmp_path):
     # a Python float per entry alone would take 24 bytes per 8-byte double
     assert traced_peak(lambda: ser.save_system(system, path)) <= 2 * array_bytes + 2**21
     assert traced_peak(lambda: ser.load_system(path)) <= 2 * text_bytes + 2 * array_bytes
+
+
+
+def test_load_holds_the_text_and_one_array(tmp_path):
+    # mostly zeros, so the text (6.1 MiB) is smaller than the array (8 MiB)
+    system = fk.assemble_block_system([fk.random_frame(32, 64, seed) for seed in range(16)])
+    path = tmp_path / "system.json"
+    ser.save_system(system, path)
+    text_bytes, array_bytes = path.stat().st_size, system.columns.nbytes
+    assert text_bytes < array_bytes
+    # the blocks of pairs take under 2 MiB; a copy of the decoded array would not fit
+    assert traced_peak(lambda: ser.load_system(path)) <= text_bytes + array_bytes + 2**21
+
+
+def test_save_holds_one_block_of_columns(tmp_path):
+    system = fk.random_frame(128, 2048, 3, 100.0)  # 4 MiB of columns
+    block_bytes = 16 * system.dim * (ser._BLOCK_PAIRS // system.dim)
+    # a block's floats, its tuple and its text take under 3 MiB as Python objects
+    peak = traced_peak(lambda: ser.save_system(system, tmp_path / "system.json"))
+    assert peak <= block_bytes + 3 * 2**20
+
+
+def test_prop53_build_holds_two_arrays_at_most():
+    holder = []
+    peak = traced_peak(lambda: holder.append(fk.build_prop53_truncation(2, [0.1, 0.1])[0]))
+    # the layers and their block-diagonal sum, then the sum and the real norm buffer
+    assert peak <= 2 * holder[0].columns.nbytes + 2**20
+
+
+@pytest.mark.parametrize("dim,count", [(1, 7), (2, 7), (3, 4), (4, 3), (7, 2)])
+def test_small_blocks_cut_the_writer_text_at_whole_columns(dim, count, small_blocks):
+    rng = np.random.default_rng(dim * count)
+    system = fk.VectorSystem(rng.standard_normal((dim, count)) + 1j * rng.standard_normal((dim, count)))
+    chunks = list(ser._system_chunks(system))
+    step = max(1, small_blocks // dim)  # one column per block when dim > _BLOCK_PAIRS
+    pair_chunks = chunks[1:-1]
+    assert len(pair_chunks) == -(-count // step)
+    assert [c.count("[") for c in pair_chunks] == [
+        dim * min(step, count - j) for j in range(0, count, step)
+    ]
+    assert "".join(chunks) == ser.dumps(reference_system_to_json(system))
