@@ -43,9 +43,10 @@ class VectorSystem:
 
     Every system owns one frozen C-order complex128 copy of its columns.  The
     constructor always copies, so a system never shares memory with the
-    caller's array and the caller's array stays writeable.  Builders and the
-    loader that allocate a fresh array themselves hand it over through the
-    private ``_own``, which runs the same checks and freezes it without a copy.
+    caller's array and the caller's array stays writeable.  Builders,
+    ``subsystem`` and the loader, which allocate a fresh array themselves,
+    hand it over through the private ``_own``, which runs the same checks and
+    freezes it without a copy.
     """
 
     columns: np.ndarray
@@ -111,7 +112,9 @@ class VectorSystem:
         labels = None
         if self.labels is not None:
             labels = tuple(self.labels[i] for i in idx)
-        return VectorSystem(self.columns[:, idx], labels)
+        # numpy's indexing rules pick the columns; np.take copies them in C order
+        positions = np.arange(self.count)[idx]
+        return VectorSystem._own(np.take(self.columns, positions, axis=1), labels)
 
     def __repr__(self):
         return f"VectorSystem(dim={self.dim}, count={self.count})"

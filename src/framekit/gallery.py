@@ -110,8 +110,7 @@ def random_frame(n: int, m: int, seed: int, cond: float = 100.0) -> VectorSystem
     left = _random_isometry(n, n, rng)
     right = _random_isometry(m, n, rng)
     svals = np.logspace(0.0, -0.5 * math.log10(cond), n) if cond > 1 else np.ones(n)
-    cols = (left * svals) @ right.conj().T
-    return VectorSystem(cols)
+    return VectorSystem._own((left * svals) @ right.conj().T)
 
 
 def _random_isometry(rows: int, cols_: int, rng: np.random.Generator) -> np.ndarray:

@@ -78,23 +78,31 @@ def system_to_json(system: VectorSystem) -> dict:
 # load_system decodes at once (about 0.7 MB of text)
 _BLOCK_PAIRS = 1 << 14
 
+# the printf template of a pair, indexed by 2 * (re is not +0.0) + (im is not +0.0)
+_PAIR_FORMATS = np.array(["[0.0,0.0],", "[0.0,%r],", "[%r,0.0],", "[%r,%r],"], dtype=object)
+
 
 def _system_chunks(system: VectorSystem):
     """The pieces of dumps(system_to_json(system)), one block of whole columns at a time.
 
     json writes a finite double (every system entry is finite) as
-    float.__repr__, which is what %r writes.  "columns" sorts first and dumps
-    separates items with ",", so the pair text goes in front of the dumps of
-    the other fields.  A block is max(1, _BLOCK_PAIRS // dim) columns, so only
-    one block's floats are Python objects, and only one block of the columns
-    is copied into file order, at a time.
+    float.__repr__, which is what %r writes.  The text of +0.0 is always
+    "0.0", so each pair's template writes the +0.0 entries (all bits zero)
+    as that literal and leaves %r for the others, -0.0 included: the same
+    bytes, with no repr of a +0.0.  "columns" sorts first and dumps separates
+    items with ",", so the pair text goes in front of the dumps of the other
+    fields.  A block is max(1, _BLOCK_PAIRS // dim) columns, so only one
+    block's floats are Python objects, and only one block of the columns is
+    copied into file order, at a time.
     """
     cols = system.columns
     step = max(1, _BLOCK_PAIRS // system.dim)
     yield '{"columns": ['
     for j in range(0, system.count, step):
-        block = _column_floats(cols[:, j:j + step]).ravel().tolist()
-        pairs = "[%r,%r]," * (len(block) // 2) % tuple(block)
+        floats = _column_floats(cols[:, j:j + step]).ravel()
+        nonzero = floats.view(np.uint64) != 0
+        template = "".join(_PAIR_FORMATS[2 * nonzero[0::2] + nonzero[1::2]].tolist())
+        pairs = template % tuple(floats[nonzero].tolist())
         yield pairs if j + step < system.count else pairs[:-1]
     yield "]," + dumps(_system_fields(system))[1:]
 
@@ -216,12 +224,14 @@ def _system_from_writer_text(text: str) -> VectorSystem | None:
     The pairs text [re,im],...,[re,im] is cut at "],[" into blocks of about
     _BLOCK_PAIRS pairs.  Each block goes to json.loads as one flat list of
     numbers, so the JSON scanner still checks every token and makes the same
-    int and float objects as a parse of the whole text; np.fromiter converts
-    them as _flat_pairs does.  Once the tail's "dim" and "count" match the
-    number of pairs, each block goes straight into the system's own C-order
-    array, so the text and one array are held at once.  Any text not in the
-    writer's layout returns None and takes the general path, which then gives
-    every result and diagnostic.  Each check is one C-level pass per block.
+    int and float objects as a parse of the whole text, except that each
+    token 0.0 is read as false (_block_pairs); np.fromiter converts them as
+    _flat_pairs does, false to the bits of 0.0.  Once the tail's "dim" and
+    "count" match the number of pairs, each block goes straight into the
+    system's own C-order array, so the text and one array are held at once.
+    Any text not in the writer's layout returns None and takes the general
+    path, which then gives every result and diagnostic.  Each check is one
+    C-level pass per block.
     """
     if not text.startswith(_WRITER_PREFIX):
         return None
@@ -245,7 +255,6 @@ def _system_from_writer_text(text: str) -> VectorSystem | None:
     if dim < 1 or count < 1 or dim * count != n_pairs:
         return None
     cols = np.empty((dim, count), np.complex128)
-    file_order = cols.T.flat  # column-major, the order of the pairs in the text
     # _BLOCK_PAIRS times the mean length of a pair and its comma
     step = _BLOCK_PAIRS * (stop + 1 - start) // n_pairs
     filled = 0
@@ -257,22 +266,49 @@ def _system_from_writer_text(text: str) -> VectorSystem | None:
         if pairs is None:
             return None
         start = cut + 1
-        file_order[filled:filled + len(pairs)] = pairs
+        _fill_file_order(cols, filled, pairs)
         filled += len(pairs)
     return _system_from_fields(fields, lambda dim, count: cols)
+
+
+def _fill_file_order(cols: np.ndarray, start: int, pairs: np.ndarray) -> None:
+    """Write pairs to cols from position start of the file's column-major order.
+
+    Row j of cols.T is column j, so the pairs are the tail of one such row, whole
+    rows and the head of one more: three strided writes, not one per element.
+    """
+    dim = cols.shape[0]
+    rows = cols.T
+    col, row = divmod(start, dim)
+    head = min(len(pairs), dim - row) if row else 0
+    if head:
+        rows[col, row:row + head] = pairs[:head]
+        col += 1
+    whole = (len(pairs) - head) // dim
+    rows[col:col + whole] = pairs[head:head + whole * dim].reshape(whole, dim)
+    tail = pairs[head + whole * dim:]
+    if len(tail):
+        rows[col + whole, :len(tail)] = tail
 
 
 def _block_pairs(block: str) -> np.ndarray | None:
     """The pairs of one block "[re,im],...,[re,im]" as complex128, or None off the layout.
 
-    Its text, list and floats are freed on return, before the next block's.
+    Once the block is known to be brackets of two tokens made of number
+    characters (so it holds no letter), the tokens "0.0" are exactly the
+    matches of "[0.0," and ",0.0]".  They become false, which json.loads
+    reads without the float scanner and np.fromiter turns into +0.0, the bits
+    of 0.0; every other token is parsed as before.  Its text, list and floats
+    are freed on return, before the next block's.
     """
-    k = block.count("],[") + 1
+    skeleton = block.translate(_NUMBER_CHARS)
+    k = (len(skeleton) + 1) // 4  # the skeleton of k pairs has 4k - 1 characters
     # exactly k brackets of two tokens each, the tokens made of number characters
-    if block.translate(_NUMBER_CHARS) != "[" + ",],[" * (k - 1) + ",]":
+    if skeleton != "[" + ",],[" * (k - 1) + ",]":
         return None
+    flat = block.replace("[0.0,", "[false,").replace(",0.0]", ",false]").replace("],[", ",")
     try:
-        numbers = json.loads(block.replace("],[", ","))
+        numbers = json.loads(flat)
     except ValueError:
         return None
     if len(numbers) != 2 * k:

@@ -164,6 +164,23 @@ def test_assembled_and_truncated_systems_share_memory_with_no_input():
         assert not any(np.shares_memory(system.columns, layer.flat_subspace) for layer in layers)
 
 
+@pytest.mark.parametrize("indices", [range(5), [4, 0, 2], [3], [-1, 1]], ids=str)
+def test_subsystems_own_a_fresh_copy_of_the_picked_columns(indices):
+    system = fk.VectorSystem(small_random_system(2, 3, 5).columns, tuple("abcde"))
+    sub = system.subsystem(indices)
+    assert owned(system.columns) and owned(sub.columns)
+    assert not np.shares_memory(sub.columns, system.columns)
+    expected = np.ascontiguousarray(system.columns[:, list(indices)])
+    assert np.array_equal(sub.columns.view(np.uint64), expected.view(np.uint64))
+    assert sub.labels == tuple(system.labels[i] for i in indices)
+
+
+def test_subsystem_holds_one_copy_of_the_columns():
+    system = fk.random_frame(512, 1024, 1)  # 8 MiB of columns
+    # the picked columns once; a second copy of them would not fit
+    assert traced_peak(lambda: system.subsystem(range(1024))) <= system.columns.nbytes + 2**21
+
+
 # ---------------------------------------------------------------------------
 # synthesis / analysis
 

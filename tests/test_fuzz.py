@@ -12,6 +12,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -213,3 +214,25 @@ def test_decoders_reject_only_with_schema_error_or_bad_parameter(tmp_path, data)
         spec_text = str(spec_path)
     # --spec=TEXT: a spec such as -Infinity would otherwise read as an option
     _run_cli("gen", f"--spec={spec_text}", "--out", str(tmp_path / "gen.json"))
+
+
+# about half the entries exact zeros of either sign, the rest any finite double
+ZERO_HEAVY = st.sampled_from([0.0, -0.0]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 4), st.integers(1, 5), st.sampled_from([1, 2, 3, ser._BLOCK_PAIRS]),
+       st.data())
+def test_zero_heavy_systems_round_trip_bit_for_bit(tmp_path, dim, count, block_pairs, data):
+    floats = data.draw(st.lists(ZERO_HEAVY, min_size=2 * dim * count, max_size=2 * dim * count))
+    # the doubles in file order: column-major pairs, re before im
+    system = fk.VectorSystem(np.array(floats).view(np.complex128).reshape(count, dim).T)
+    path = tmp_path / "system.json"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ser, "_BLOCK_PAIRS", block_pairs)
+        ser.save_system(system, path)
+        assert path.read_text() == json.dumps(ser.system_to_json(system), sort_keys=True,
+                                              separators=(",", ": ")) + "\n"
+        back = ser.load_system(path)
+        assert back.columns.view(np.uint64).tobytes() == system.columns.view(np.uint64).tobytes()
+        _loads_like_the_general_path(path)

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -687,3 +688,102 @@ def test_small_blocks_cut_the_writer_text_at_whole_columns(dim, count, small_blo
         dim * min(step, count - j) for j in range(0, count, step)
     ]
     assert "".join(chunks) == ser.dumps(reference_system_to_json(system))
+
+
+# ---------------------------------------------------------------------------
+# exact zeros: +0.0 is written as the literal 0.0 and read without the float scanner
+
+
+def zero_base():
+    """A labelled system with +0.0 and -0.0 as re and as im, all-zero pairs and a subnormal."""
+    pairs = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+             (1.5, 0.0), (0.0, -2.5), (SUBNORMAL, 0.0), (0.0, 0.0)]
+    floats = np.array(pairs).reshape(4, 2, 2)  # count, dim, [re, im]
+    system = fk.VectorSystem(floats.view(np.complex128)[..., 0].T, tuple("abcd"))
+    flat = ser._column_floats(system.columns).ravel().tolist()
+    tokens = [[repr(flat[i]), repr(flat[i + 1])] for i in range(0, len(flat), 2)]
+    return system, tokens, ser.dumps(ser._system_fields(system))[1:]
+
+
+def test_zero_base_is_the_writers_text(tmp_path):
+    system, tokens, tail = zero_base()
+    ser.save_system(system, tmp_path / "system.json")
+    text = (tmp_path / "system.json").read_text()
+    assert text == writer_text(tokens, tail)
+    assert text.startswith('{"columns": [[0.0,0.0],[-0.0,0.0],[0.0,-0.0],[-0.0,-0.0],')
+
+
+ZERO_TOKENS = [
+    "0.0", "-0.0", "0.00", "00.0", "-0.00", "0.0e0", "0.0E0", "0e0", "0", "-0", "00", ".0", "0.",
+    "+0.0", "0.0.0", "0.0e", "0.0-", "1e400", "-1e-400", "5e-324", "1.5",
+    "false", "true", "null", "", "0.0 ", " 0.0", "[0.0]", "0.0,0.0",
+]
+
+
+@pytest.mark.parametrize("token", ZERO_TOKENS)
+def test_load_system_decodes_zero_tokens_like_the_general_path(token, tmp_path):
+    system, tokens, tail = zero_base()
+    path = tmp_path / "system.json"
+    for pair in range(len(tokens)):
+        for entry in (0, 1):
+            path.write_text(_set_token(pair, entry, token)(tokens, tail), encoding="utf-8")
+            assert load_outcome(ser.load_system, path) == load_outcome(general_load, path)
+
+
+@pytest.mark.parametrize("token", ZERO_TOKENS)
+def test_small_blocks_decode_zero_tokens_like_the_general_path(token, small_blocks, tmp_path):
+    test_load_system_decodes_zero_tokens_like_the_general_path(token, tmp_path)
+
+
+def zero_systems():
+    """Systems of exact zeros: all +0.0, all -0.0, mixed signs, subnormals, real-valued."""
+    rng = np.random.default_rng(11)
+
+    def of_floats(values, dim, count):
+        floats = rng.choice(np.array(values), size=(dim, count, 2))
+        return fk.VectorSystem(floats.view(np.complex128)[..., 0])
+
+    return [
+        fk.VectorSystem(np.zeros((3, 4))),
+        fk.VectorSystem(np.full((2, 3), complex(-0.0, -0.0))),
+        of_floats([0.0, -0.0], 4, 5),
+        of_floats([0.0, -0.0, 1.0, -0.5, 0.1], 5, 6),
+        of_floats([0.0, -0.0, SUBNORMAL, -SUBNORMAL, 2.2250738585072014e-308 / 3], 3, 7),
+        fk.VectorSystem(rng.standard_normal((4, 7))),
+        fk.VectorSystem(np.where(rng.random((6, 9)) < 0.7, 0.0, rng.standard_normal((6, 9)))),
+        fk.generate(fk.GallerySpec("prop53Truncation", SMALL_SPECS["prop53Truncation"])),
+    ]
+
+
+@pytest.mark.parametrize("system", zero_systems(), ids=lambda s: repr(s))
+def test_zero_systems_write_the_per_entry_codec_bytes(system, tmp_path):
+    expected = ser.dumps(reference_system_to_json(system))
+    assert "".join(ser._system_chunks(system)) == expected
+    ser.save_system(system, tmp_path / "system.json")
+    assert (tmp_path / "system.json").read_bytes() == expected.encode()
+    assert same_bits(ser.load_system(tmp_path / "system.json").columns, system.columns)
+
+
+@pytest.mark.parametrize("system", zero_systems(), ids=lambda s: repr(s))
+def test_small_blocks_write_zero_systems_like_the_per_entry_codec(system, small_blocks, tmp_path):
+    test_zero_systems_write_the_per_entry_codec_bytes(system, tmp_path)
+
+
+def test_the_fast_path_parses_no_zero_token(monkeypatch):
+    system = fk.generate(fk.GallerySpec("prop53Truncation", SMALL_SPECS["prop53Truncation"]))
+    text = "".join(ser._system_chunks(system))
+    assert "[0.0," in text and ",0.0]" in text
+    parsed = []
+    loads = json.loads
+
+    def recording_loads(s, *args, **kwargs):
+        parsed.append(s)
+        return loads(s, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "loads", recording_loads)
+        back = ser._system_from_writer_text(text)
+    assert back is not None and same_bits(back.columns, system.columns)
+    blocks = [s for s in parsed if s.startswith("[")]  # not the fields after the pairs
+    assert blocks
+    assert all("0.0" not in re.split(r"[\[\],]", s) for s in blocks)
