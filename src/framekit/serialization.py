@@ -222,11 +222,12 @@ def _system_from_writer_text(text: str) -> VectorSystem | None:
     """load_system for the layout save_system writes, without a Python list per pair.
 
     The pairs text [re,im],...,[re,im] is cut at "],[" into blocks of about
-    _BLOCK_PAIRS pairs.  Each block goes to json.loads as one flat list of
-    numbers, so the JSON scanner still checks every token and makes the same
-    int and float objects as a parse of the whole text, except that each
-    token 0.0 is read as false (_block_pairs); np.fromiter converts them as
-    _flat_pairs does, false to the bits of 0.0.  Once the tail's "dim" and
+    _BLOCK_PAIRS pairs.  The nonzero tokens of each block go to json.loads as
+    one flat list of numbers, so the JSON scanner still checks each of them and
+    makes the same int and float objects as a parse of the whole text, and
+    np.fromiter converts them as _flat_pairs does.  The tokens 0.0, the text of
+    +0.0, are located by one array pass over the block's bytes and never
+    parsed (_block_pairs).  Once the tail's "dim" and
     "count" match the number of pairs, each block goes straight into the
     system's own C-order array, so the text and one array are held at once.
     Any text not in the writer's layout returns None and takes the general
@@ -268,6 +269,7 @@ def _system_from_writer_text(text: str) -> VectorSystem | None:
         start = cut + 1
         _fill_file_order(cols, filled, pairs)
         filled += len(pairs)
+        del pairs  # before the next block is decoded
     return _system_from_fields(fields, lambda dim, count: cols)
 
 
@@ -295,28 +297,64 @@ def _block_pairs(block: str) -> np.ndarray | None:
     """The pairs of one block "[re,im],...,[re,im]" as complex128, or None off the layout.
 
     Once the block is known to be brackets of two tokens made of number
-    characters (so it holds no letter), the tokens "0.0" are exactly the
-    matches of "[0.0," and ",0.0]".  They become false, which json.loads
-    reads without the float scanner and np.fromiter turns into +0.0, the bits
-    of 0.0; every other token is parsed as before.  Its text, list and floats
-    are freed on return, before the next block's.
+    characters (so it is ASCII and holds no letter), its commas locate every
+    token in one array pass over its bytes.  A token is +0.0 exactly when it
+    is the 3 bytes "0.0", which is what "[0.0," and ",0.0]" match; those are
+    never parsed.  In one bytearray, every delimiter but the outer brackets
+    and every such token become spaces, which JSON skips, and a comma follows
+    each other token but the last, so json.loads reads the other tokens as
+    before and np.fromiter puts them between the zeros.  An all-zero block is
+    not parsed at all.  Its bytes, text, list and floats are freed on return,
+    before the next block's.
     """
     skeleton = block.translate(_NUMBER_CHARS)
     k = (len(skeleton) + 1) // 4  # the skeleton of k pairs has 4k - 1 characters
     # exactly k brackets of two tokens each, the tokens made of number characters
     if skeleton != "[" + ",],[" * (k - 1) + ",]":
         return None
-    flat = block.replace("[0.0,", "[false,").replace(",0.0]", ",false]").replace("],[", ",")
-    try:
-        numbers = json.loads(flat)
-    except ValueError:
+    buf = bytearray(block, "ascii")
+    del skeleton, block  # the caller's slice of the text is freed here
+    u = np.frombuffer(buf, np.uint8)
+    # the 2k - 1 commas alternate: the one in pair p ends re, the one after it
+    # follows the "]" that ends im; the last im ends at the last byte
+    ends = np.append(np.flatnonzero(u == ord(",")), len(u))
+    ends[1::2] -= 1
+    # "]" ends each pair and "],[" joins them: the skeleton does not see number
+    # characters outside the brackets
+    if (u[0] != ord("[") or np.any(u[ends[1::2]] != ord("]"))
+            or np.any(u[ends[1:-1:2] + 2] != ord("["))):
         return None
-    if len(numbers) != 2 * k:
-        return None
-    try:
-        return np.fromiter(numbers, np.float64, count=2 * k).view(np.complex128)
-    except OverflowError:
-        return None
+    # a token is 0.0 when its 3 bytes read 0.0 after its opening "[" or ","; a
+    # shorter token has its opening delimiter among those 3 bytes, so it fails
+    # the test even where ends - 4 is negative and wraps
+    before = u[ends - 4]
+    zero = (((before == ord("[")) | (before == ord(","))) & (u[ends - 3] == ord("0"))
+            & (u[ends - 2] == ord(".")) & (u[ends - 1] == ord("0")))
+    # spaces for the delimiters but the outer brackets, and for the zero tokens
+    u[ends] = u[ends[1:-1:2] + 1] = u[ends[1:-1:2] + 2] = ord(" ")
+    zero_ends = ends[zero]
+    u[zero_ends - 3] = u[zero_ends - 2] = u[zero_ends - 1] = ord(" ")
+    ends = ends[~zero]
+    u[ends[:-1]] = ord(",")
+    u[-1] = ord("]")
+    n = len(ends)
+    del u, before, ends, zero_ends
+    pairs = np.zeros(2 * k)
+    if n:
+        text = buf.decode("ascii")
+        del buf
+        try:
+            numbers = json.loads(text)
+        except ValueError:
+            return None
+        del text
+        if len(numbers) != n:
+            return None
+        try:
+            pairs[~zero] = np.fromiter(numbers, np.float64, count=n)
+        except OverflowError:
+            return None
+    return pairs.view(np.complex128)
 
 
 def _read_text(path) -> str:

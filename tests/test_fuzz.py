@@ -10,6 +10,7 @@ import copy
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ import framekit as fk
 from framekit import serialization as ser
 from framekit.cli import main
 from framekit.errors import BadParameter, SchemaError
+from test_serialization import general_load, load_outcome
 
 REJECTIONS = (SchemaError, BadParameter)
 
@@ -236,3 +238,35 @@ def test_zero_heavy_systems_round_trip_bit_for_bit(tmp_path, dim, count, block_p
         back = ser.load_system(path)
         assert back.columns.view(np.uint64).tobytes() == system.columns.view(np.uint64).tobytes()
         _loads_like_the_general_path(path)
+
+
+# short runs of number characters, and the two texts of an exact zero
+SPLICED_TOKENS = st.text("0123456789.-+eE", max_size=6) | st.sampled_from(["0.0", "-0.0"])
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(1, 4), st.integers(1, 5), st.sampled_from([1, 2, 3, ser._BLOCK_PAIRS]),
+       st.data())
+def test_tokens_spliced_into_zero_heavy_text_decode_like_the_general_path(
+    tmp_path, dim, count, block_pairs, data
+):
+    floats = data.draw(st.lists(ZERO_HEAVY, min_size=2 * dim * count, max_size=2 * dim * count))
+    system = fk.VectorSystem(np.array(floats).view(np.complex128).reshape(count, dim).T)
+    text = "".join(ser._system_chunks(system))
+    start, stop = len('{"columns": ['), text.index("]]") + 1  # the pairs text
+    for _ in range(data.draw(st.integers(1, 3), label="splices")):
+        token = data.draw(SPLICED_TOKENS, label="token")
+        if data.draw(st.booleans(), label="in place of a token"):
+            spans = [m.span() for m in re.finditer(r"[^\[\],]+", text[start:stop])]
+            i, j = data.draw(st.sampled_from(spans)) if spans else (0, 0)
+            i, j = start + i, start + j
+        else:
+            i = data.draw(st.integers(start, stop), label="at")
+            j = data.draw(st.integers(i, min(i + 3, stop)), label="to")
+        text = text[:i] + token + text[j:]
+        stop += len(token) - (j - i)
+    path = tmp_path / "system.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ser, "_BLOCK_PAIRS", block_pairs)
+        assert load_outcome(ser.load_system, path) == load_outcome(general_load, path)

@@ -787,3 +787,151 @@ def test_the_fast_path_parses_no_zero_token(monkeypatch):
     blocks = [s for s in parsed if s.startswith("[")]  # not the fields after the pairs
     assert blocks
     assert all("0.0" not in re.split(r"[\[\],]", s) for s in blocks)
+
+
+# ---------------------------------------------------------------------------
+# only the nonzero tokens are parsed: the tokens 0.0 are located in the block's bytes
+
+
+def reader_parses(text, monkeypatch):
+    """Each block load_system's fast path decodes, with the lengths of the lists json.loads returns for it."""
+    blocks = []
+    loads, block_pairs = json.loads, ser._block_pairs
+
+    def recording_loads(s, *args, **kwargs):
+        value = loads(s, *args, **kwargs)
+        if isinstance(value, list):  # a block, not the fields after the pairs
+            blocks[-1][1].append(len(value))
+        return value
+
+    def recording_block_pairs(block):
+        blocks.append((block, []))
+        return block_pairs(block)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "loads", recording_loads)
+        patch.setattr(ser, "_block_pairs", recording_block_pairs)
+        assert ser._system_from_writer_text(text) is not None
+    return blocks
+
+
+PARSE_COUNT_SYSTEMS = {
+    "prop53Truncation": lambda: fk.generate(
+        fk.GallerySpec("prop53Truncation", SMALL_SPECS["prop53Truncation"])),
+    "zero base": lambda: zero_base()[0],
+    "all +0.0": lambda: fk.VectorSystem(np.zeros((3, 4))),
+}
+
+
+@pytest.mark.parametrize("name", PARSE_COUNT_SYSTEMS)
+def test_the_fast_path_parses_only_the_nonzero_tokens(name, monkeypatch):
+    system = PARSE_COUNT_SYSTEMS[name]()
+    text = "".join(ser._system_chunks(system))
+    blocks = reader_parses(text, monkeypatch)
+    nonzero_doubles = np.count_nonzero(ser._column_floats(system.columns).view(np.uint64))
+    assert sum(sum(lengths) for _, lengths in blocks) == nonzero_doubles
+    for block, lengths in blocks:
+        parsed = [t for t in re.findall(r"[^\[\],]+", block) if t != "0.0"]
+        # one json.loads per block that holds a nonzero token, none for a block of 0.0 tokens
+        assert lengths == ([len(parsed)] if parsed else [])
+
+
+@pytest.mark.parametrize("name", PARSE_COUNT_SYSTEMS)
+def test_small_blocks_parse_only_the_nonzero_tokens(name, small_blocks, monkeypatch):
+    test_the_fast_path_parses_only_the_nonzero_tokens(name, monkeypatch)
+
+
+def lone_token_cases(dim, count, monkeypatch):
+    """Texts of a dim x count system of +0.0 with the token 1.5 at the edges of the file and of its blocks.
+
+    Each case maps a name to the (pair, entry) places of 1.5.  1.5 is as long
+    as 0.0, so every text is cut into the blocks of the all-zero text.
+    """
+    system = fk.VectorSystem(np.zeros((dim, count)))
+    tokens = [["0.0", "0.0"] for _ in range(dim * count)]
+    tail = ser.dumps(ser._system_fields(system))[1:]
+    assert writer_text(tokens, tail) == "".join(ser._system_chunks(system))
+    sizes = [block.count("[") for block, _ in reader_parses(writer_text(tokens, tail), monkeypatch)]
+    assert len(sizes) >= 2
+    last, cut = dim * count - 1, sizes[0]  # cut: the first pair of the second block
+    cases = {}
+    for entry, part in [(0, "re"), (1, "im")]:
+        cases[f"{part} of the first pair of the file"] = [(0, entry)]
+        cases[f"{part} of the last pair of the file"] = [(last, entry)]
+        cases[f"{part} of the last pair of a block"] = [(cut - 1, entry)]
+        cases[f"{part} of the first pair of a block"] = [(cut, entry)]
+        cases[f"{part} of two adjacent pairs across a block cut"] = [(cut - 1, entry), (cut, entry)]
+    cases["im and re of two adjacent pairs across a block cut"] = [(cut - 1, 1), (cut, 0)]
+    return tokens, tail, sizes, cases
+
+
+def check_lone_token_cases(dim, count, tmp_path, monkeypatch):
+    tokens, tail, sizes, cases = lone_token_cases(dim, count, monkeypatch)
+    path = tmp_path / "system.json"
+    for name, places in cases.items():
+        edited = [list(pair) for pair in tokens]
+        expected = np.zeros((dim * count, 2))
+        for pair, entry in places:
+            edited[pair][entry] = "1.5"
+            expected[pair, entry] = 1.5
+        text = writer_text(edited, tail)
+        assert [b.count("[") for b, _ in reader_parses(text, monkeypatch)] == sizes, name
+        path.write_text(text, encoding="utf-8")
+        outcome = load_outcome(ser.load_system, path)
+        assert outcome == load_outcome(general_load, path), name
+        columns = expected.view(np.complex128).reshape(count, dim).T  # file order to columns
+        assert outcome[1] == np.ascontiguousarray(columns).tobytes(), name
+
+
+def test_a_lone_nonzero_token_at_the_block_edges(tmp_path, monkeypatch):
+    check_lone_token_cases(2, B, tmp_path, monkeypatch)  # 2B pairs: two blocks or more
+
+
+def test_small_blocks_a_lone_nonzero_token_at_the_block_edges(small_blocks, tmp_path, monkeypatch):
+    check_lone_token_cases(2, 4, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("token", ZERO_TOKENS)
+def test_zero_tokens_next_to_a_nonzero_token_decode_like_the_general_path(token, tmp_path):
+    system = fk.VectorSystem(np.zeros((2, 3)))
+    tail = ser.dumps(ser._system_fields(system))[1:]
+    path = tmp_path / "system.json"
+    for nonzero in range(12):  # the flat token positions of the 6 pairs
+        for neighbour in (nonzero - 1, nonzero + 1):
+            if not 0 <= neighbour < 12:
+                continue
+            flat = ["0.0"] * 12
+            flat[nonzero], flat[neighbour] = "1.5", token
+            path.write_text(writer_text(zip(flat[0::2], flat[1::2]), tail), encoding="utf-8")
+            assert load_outcome(ser.load_system, path) == load_outcome(general_load, path)
+
+
+@pytest.mark.parametrize("token", ZERO_TOKENS)
+def test_small_blocks_zero_tokens_next_to_a_nonzero_token(token, small_blocks, tmp_path):
+    test_zero_tokens_next_to_a_nonzero_token_decode_like_the_general_path(token, tmp_path)
+
+
+def test_number_characters_between_pairs_take_the_general_path(tmp_path):
+    system = fk.VectorSystem(np.zeros((2, 3)))
+    tail = ser.dumps(ser._system_fields(system))[1:]
+    path = tmp_path / "system.json"
+    # each character breaks a "],[", so the texts have one pair more than the tail's
+    # dim * count for each one and reach the block decoder
+    zeros = writer_text([["0.0", "0.0"]] * 7, tail)
+    joins = [m.start() for m in re.finditer(r"\],\[", zeros)]
+    # an all-zero block is never parsed, so nothing but its own checks can reject these
+    texts = [zeros[:pos] + "0" + zeros[pos:] for i in joins for pos in (i + 1, i + 2)]
+    # with one character after "]," and one before "," the nonzero tokens read as
+    # [1.5,2.5,[4.5],...]: as many numbers as the tokens that are not 0.0
+    text = writer_text([["1.5", "2.5"], ["0.0", "4.5"]] + [["5.5", "6.5"]] * 6, tail)
+    texts.append(text.replace("],[0.0,4.5],", "],0[0.0,4.5]0,"))
+    assert all(text.count("],[") + 1 == 6 for text in texts)
+    for text in texts:
+        path.write_text(text, encoding="utf-8")
+        outcome = load_outcome(ser.load_system, path)
+        assert isinstance(outcome, str)
+        assert outcome == load_outcome(general_load, path)
+
+
+def test_small_blocks_number_characters_between_pairs(small_blocks, tmp_path):
+    test_number_characters_between_pairs_take_the_general_path(tmp_path)
