@@ -16,10 +16,12 @@ import numpy as np
 
 from . import serialization as ser
 from .core import (
+    DEFAULT_TOLERANCE,
     OperatorPower,
     _apply_power,
     _counting_slacks,
     _dual_reconstruct,
+    _frame_report,
     frame_operator,
     frame_report,
     random_unit_vector,
@@ -89,8 +91,14 @@ def _cmd_gen(args) -> int:
 
 def _cmd_analyze(args) -> int:
     system = ser.load_system(args.infile)
-    report = frame_report(system)
     metrics = basis_metrics(system)
+    # The frame bounds are the extreme eigenvalues of S = F F^*, so they are the
+    # squared extreme singular values of F that basis_metrics already holds:
+    # B = sigma_max^2, and A = sigma_min^2 when count >= dim, else 0.  Squaring
+    # sigma errs in A by eps*kappa, where eigvalsh of a formed S errs by eps*kappa^2.
+    svals = metrics.singular_values
+    lower = svals[-1] ** 2 if system.count >= system.dim else 0.0
+    report = _frame_report(system, (lower, svals[0] ** 2), DEFAULT_TOLERANCE)
     print(
         ser.dumps(
             {
@@ -257,6 +265,7 @@ def _cmd_sweep(args) -> int:
     plan = ser._read_json(args.plan)
     if not isinstance(plan, dict):
         raise SchemaError("sweep plan must be a JSON object")
+    ser._expect_version(plan, optional=True)
     rows = list(_sweep_rows(plan))
     out = Path(plan["out"])
     with out.open("w", newline="") as handle:

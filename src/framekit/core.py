@@ -233,14 +233,22 @@ def frame_report(system: VectorSystem, tolerance: float = DEFAULT_TOLERANCE) -> 
     The spanning decision is relative: the system spans iff A > tolerance * B.
     Tightness uses the relative gap (B - A) <= tolerance * B.
     """
-    return _frame_report(system, frame_operator(system), tolerance)
+    return _frame_report(system, frame_bounds(system), tolerance)
 
 
-def _frame_report(system: VectorSystem, s: np.ndarray, tolerance: float) -> FrameReport:
-    """frame_report, for the frame operator s of system already formed."""
+def _frame_report(
+    system: VectorSystem, bounds: tuple[float, float], tolerance: float
+) -> FrameReport:
+    """frame_report, for the frame bounds (A, B) of system, both at least zero.
+
+    Each caller passes the bounds of the factorization it already holds: the
+    extreme eigenvalues of a frame operator S it formed (_operator_bounds), or
+    the squared extreme singular values of the columns, which `analyze` reads
+    off basis_metrics without forming S.
+    """
     if tolerance <= 0:
         raise BadParameter("tolerance must be positive")
-    a, b = _operator_bounds(s)
+    a, b = bounds
     norms = system.norms()
     return FrameReport(
         lower_bound=a,
@@ -334,7 +342,7 @@ def _counting_slacks(
     system: VectorSystem, s: np.ndarray, tolerance: float = DEFAULT_TOLERANCE
 ) -> CountingSlacks:
     """check_counting_lemmas, for the frame operator s of system already formed."""
-    report = _frame_report(system, s, tolerance)
+    report = _frame_report(system, _operator_bounds(s), tolerance)
     if not report.is_spanning:
         raise NotSpanning("dimension inequality needs a spanning system")
     if report.min_norm <= 0.0:

@@ -196,10 +196,12 @@ def weight_fourier_integrals(
 
 
 def _normalize_sign(sign) -> int:
-    if sign in (1, "+", "+1"):
-        return 1
-    if sign in (-1, "-", "-1"):
-        return -1
+    # True == 1, so a flag is refused before it can pass as the sign +1
+    if not isinstance(sign, (bool, np.bool_)):
+        if sign in (1, "+", "+1"):
+            return 1
+        if sign in (-1, "-", "-1"):
+            return -1
     raise BadParameter(f"sign must be one of +1/-1/'+'/'-', got {sign!r}")
 
 

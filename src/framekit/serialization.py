@@ -117,6 +117,15 @@ def _expect(doc: dict, field: str, kinds) -> object:
     return value
 
 
+def _expect_version(doc: dict, optional: bool = False) -> None:
+    """Refuse a "v" that is not the int 1; an optional one (specs, plans) may be absent."""
+    if optional and "v" not in doc:
+        return
+    value = doc.get("v")
+    if isinstance(value, bool) or not isinstance(value, int) or value != SCHEMA_VERSION:
+        raise SchemaError(f"field 'v': expected {SCHEMA_VERSION}, got {value!r}")
+
+
 def _expect_indices(doc: dict, field: str) -> tuple[int, ...]:
     values = _expect(doc, field, list)
     if any(isinstance(x, bool) or not isinstance(x, int) for x in values):
@@ -148,8 +157,7 @@ def _system_from_fields(doc: dict, columns) -> VectorSystem:
     owns.  Both decoders end here, so they raise the same SchemaError for the
     same document.
     """
-    if doc.get("v") != SCHEMA_VERSION:
-        raise SchemaError(f"field 'v': expected {SCHEMA_VERSION}, got {doc.get('v')!r}")
+    _expect_version(doc)
     dim = _expect(doc, "dim", int)
     count = _expect(doc, "count", int)
     if dim < 1:
@@ -458,8 +466,7 @@ def trace_to_json(trace: ExtractionTrace) -> dict:
 def trace_from_json(doc) -> ExtractionTrace:
     if not isinstance(doc, dict):
         raise SchemaError("trace document must be a JSON object")
-    if doc.get("v") != SCHEMA_VERSION:
-        raise SchemaError(f"field 'v': expected {SCHEMA_VERSION}, got {doc.get('v')!r}")
+    _expect_version(doc)
     try:
         rounds = tuple(
             ExtractionRound(
@@ -515,6 +522,7 @@ def load_trace(path) -> ExtractionTrace:
 def gallery_spec_from_json(doc) -> GallerySpec:
     if not isinstance(doc, dict):
         raise SchemaError("gallery spec must be a JSON object")
+    _expect_version(doc, optional=True)
     kind = doc.get("kind")
     if kind not in GALLERY_KINDS:
         raise SchemaError(f"field 'kind': expected one of {GALLERY_KINDS}, got {kind!r}")

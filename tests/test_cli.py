@@ -1,9 +1,13 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import FACTORIZATIONS
+from test_real_arithmetic import REAL_SYSTEMS
 
 import framekit as fk
 from framekit import serialization as ser
@@ -511,4 +515,151 @@ def test_sweep_float_field_refuses_strings_and_flags(tmp_path, capsys, field, va
     assert json.loads(err) == {
         "error": "SchemaError", "message": f"sweep plan: field {field!r} got {value!r}"
     }
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# analyze reads the frame bounds off the singular values of basis_metrics
+
+
+def _analyze_specs():
+    """perfbench's ANALYZE_SPECS, the systems of the analyze-bases workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return {f"bench-{name}": doc for name, doc in module.ANALYZE_SPECS}
+
+
+ANALYZE_SYSTEMS = {
+    # one system per gallery kind
+    "orthonormal": lambda: fk.orthonormal(5),
+    "lemma51": lambda: fk.lemma51(12),
+    "duplicated": lambda: fk.duplicated(3),
+    "duplicated-doubleAmbient": lambda: fk.duplicated(3, True),
+    "perturbedPairs": lambda: fk.perturbed_pairs(5),
+    "weightedExponentials": lambda: fk.weighted_exponentials(0.4, 8, "+"),
+    "lemma52Block": lambda: fk.lemma52_block(1, 0.5),
+    "prop53Truncation": lambda: fk.prop53_truncation(1, [0.3]),
+    "randomFrame": lambda: fk.random_frame(6, 12, 1),
+    "randomFrame-cond1e6": lambda: fk.random_frame(30, 60, 1, 1e6),
+    # count < dim: A is exactly 0
+    "orthonormal-part": lambda: fk.orthonormal(5).subsystem(range(3)),
+    "randomFrame-part": lambda: fk.random_frame(6, 12, 1).subsystem(range(4)),
+    **{f"real-{name}": build for name, build in REAL_SYSTEMS.items()},
+    **{
+        name: (lambda doc=doc: fk.generate(ser.gallery_spec_from_json(doc)))
+        for name, doc in _analyze_specs().items()
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_SYSTEMS))
+def test_analyze_frame_report_matches_frame_report(name, tmp_path, capsys):
+    system = ANALYZE_SYSTEMS[name]()
+    path = tmp_path / "system.json"
+    ser.save_system(system, path)
+    code, out, err = run_cli(capsys, "analyze", "--in", str(path))
+    assert (code, err) == (0, "")
+    got = json.loads(out)["frame_report"]
+    expected = json.loads(ser.dumps(ser.report_to_json(fk.frame_report(system))))
+    # eigvalsh of the formed S errs in A by eps * kappa^2, relative to B
+    bound = 64 * system.dim * np.finfo(float).eps * expected["upper_bound"]
+    assert abs(got["lower_bound"] - expected["lower_bound"]) <= bound
+    assert abs(got["upper_bound"] - expected["upper_bound"]) <= bound
+    exact = ("min_norm", "max_norm", "is_tight", "is_spanning", "tolerance")
+    assert {key: got[key] for key in exact} == {key: expected[key] for key in exact}
+    assert got.keys() == expected.keys()
+    if system.count < system.dim:
+        assert got["lower_bound"] == 0.0
+
+
+@pytest.fixture
+def factorization_calls(monkeypatch):
+    """(name, operand shape) of every numpy.linalg / scipy.linalg factorization call."""
+    calls = []
+    for module, names in FACTORIZATIONS.items():
+        for name in names:
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls.append((_name, np.shape(args[0])))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.fixture
+def formed_operators(monkeypatch):
+    """The dim of every system whose frame operator core.frame_operator forms."""
+    calls = []
+
+    def counted(system, _original=fk.core.frame_operator):
+        calls.append(system.dim)
+        return _original(system)
+
+    monkeypatch.setattr(fk.core, "frame_operator", counted)
+    monkeypatch.setattr(fk.cli, "frame_operator", counted)
+    return calls
+
+
+def test_analyze_factors_the_columns_once(tmp_path, capsys, factorization_calls, formed_operators):
+    system = fk.generate(fk.GallerySpec("prop53Truncation", {"M": 2, "epsilons": [0.2, 0.2]}))
+    assert (system.dim, system.count) == (165, 332)
+    path = tmp_path / "system.json"
+    ser.save_system(system, path)
+    factorization_calls.clear()
+    code, _, err = run_cli(capsys, "analyze", "--in", str(path))
+    assert (code, err) == (0, "")
+    assert factorization_calls == [("svd", (165, 332))]
+    assert formed_operators == []
+
+
+def test_analyze_of_a_basis_makes_no_eigensolve_of_its_frame_operator(
+    tmp_path, capsys, factorization_calls, formed_operators
+):
+    system = fk.perturbed_pairs(5)
+    assert (system.dim, system.count) == (10, 10)
+    path = tmp_path / "system.json"
+    ser.save_system(system, path)
+    factorization_calls.clear()
+    code, _, err = run_cli(capsys, "analyze", "--in", str(path))
+    assert (code, err) == (0, "")
+    assert ("eigvalsh", (10, 10)) not in factorization_calls
+    assert ("eigh", (10, 10)) not in factorization_calls
+    assert formed_operators == []
+
+
+@pytest.mark.parametrize("sign", ["true", "false"])
+def test_gen_refuses_a_flag_for_the_sign(tmp_path, capsys, sign):
+    spec = f'{{"kind": "weightedExponentials", "a": 0.25, "N": 3, "sign": {sign}}}'
+    code, out, err = run_cli(capsys, "gen", "--spec", spec, "--out", str(tmp_path / "out.json"))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "BadParameter",
+        "message": f"sign must be one of +1/-1/'+'/'-', got {sign.title()}",
+    }
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("value", [2, "x", True, 1.0])
+def test_gen_and_sweep_refuse_a_version_other_than_one(tmp_path, capsys, value):
+    spec = json.dumps({"v": value, "kind": "orthonormal", "n": 4})
+    code, out, err = run_cli(capsys, "gen", "--spec", spec, "--out", str(tmp_path / "out.json"))
+    diagnostic = {"error": "SchemaError", "message": f"field 'v': expected 1, got {value!r}"}
+    assert (code, out, json.loads(err)) == (2, "", diagnostic)
+    plan = {
+        "v": value,
+        "generator": {"kind": "orthonormal", "n": 4},
+        "sweep": {"name": "n", "values": [4]},
+        "extract": {"mode": "frame", "eps": 0.25},
+        "out": str(tmp_path / "sweep.csv"),
+    }
+    plan_path = tmp_path / "plan.json"
+    plan_path.write_text(json.dumps(plan))
+    code, out, err = run_cli(capsys, "sweep", "--plan", str(plan_path))
+    assert (code, out, json.loads(err)) == (2, "", diagnostic)
     assert not (tmp_path / "sweep.csv").exists()

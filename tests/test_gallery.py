@@ -438,3 +438,24 @@ def test_float_parameters_take_python_and_numpy_numbers():
         assert np.array_equal(fk.random_frame(4, 8, 1, cond).columns, expected)
     assert np.array_equal(fk.lemma52_block(1, np.float64(0.5)).columns,
                           fk.lemma52_block(1, 0.5).columns)
+
+
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_sign_refuses_flags(flag):
+    # True == 1, so a flag used to build the +1 family
+    for build in (fk.weighted_exponentials, fk.weighted_exponential_gram):
+        with pytest.raises(BadParameter) as exc:
+            build(0.25, 4, flag)
+        assert str(exc.value) == f"sign must be one of +1/-1/'+'/'-', got {flag!r}"
+
+
+@pytest.mark.parametrize(
+    "sign, signum",
+    [(1, 1), (1.0, 1), (np.int64(1), 1), ("+", 1), ("+1", 1),
+     (-1, -1), (-1.0, -1), (np.int64(-1), -1), ("-", -1), ("-1", -1)],
+)
+def test_sign_takes_every_documented_form(sign, signum):
+    expected = fk.weighted_exponentials(0.25, 4, signum)
+    system = fk.weighted_exponentials(0.25, 4, sign)
+    assert system.columns.view(np.uint64).tobytes() == expected.columns.view(np.uint64).tobytes()
+    assert system.labels == expected.labels

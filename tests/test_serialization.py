@@ -935,3 +935,37 @@ def test_number_characters_between_pairs_take_the_general_path(tmp_path):
 
 def test_small_blocks_number_characters_between_pairs(small_blocks, tmp_path):
     test_number_characters_between_pairs_take_the_general_path(tmp_path)
+
+
+@pytest.mark.parametrize("text, value", [("true", True), ("1.0", 1.0), ('"1"', "1"), ("2", 2)])
+@pytest.mark.parametrize("blocks", [1, ser._BLOCK_PAIRS])
+def test_system_version_must_be_the_int_one(text, value, blocks, tmp_path, monkeypatch):
+    # "v": true and "v": 1.0 compared equal to 1 and loaded
+    monkeypatch.setattr(ser, "_BLOCK_PAIRS", blocks)
+    _, pairs, tail = mutation_base()
+    path = tmp_path / "system.json"
+    path.write_text(writer_text(pairs, tail.replace('"v": 1', f'"v": {text}')), encoding="utf-8")
+    expected = f"field 'v': expected 1, got {value!r}"
+    assert load_outcome(ser.load_system, path) == load_outcome(general_load, path) == expected
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "1", 2, None])
+def test_trace_version_must_be_the_int_one(value):
+    doc = ser.trace_to_json(fk.extract_frame(fk.lemma51(6), 0.25))
+    doc["v"] = value
+    with pytest.raises(SchemaError) as exc:
+        ser.trace_from_json(doc)
+    assert str(exc.value) == f"field 'v': expected 1, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [True, 1.0, "x", 2, None])
+def test_spec_version_when_present_must_be_the_int_one(value):
+    with pytest.raises(SchemaError) as exc:
+        ser.gallery_spec_from_json({"v": value, "kind": "lemma51", "n": 4})
+    assert str(exc.value) == f"field 'v': expected 1, got {value!r}"
+
+
+def test_spec_version_may_be_absent():
+    spec = fk.GallerySpec("lemma51", {"n": 4})
+    assert ser.gallery_spec_from_json({"kind": "lemma51", "n": 4}) == spec
+    assert ser.gallery_spec_from_json({"v": 1, "kind": "lemma51", "n": 4}) == spec
