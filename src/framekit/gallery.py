@@ -24,7 +24,6 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .core import VectorSystem, _column_norms, frame_operator
 from .errors import BadParameter, EmptyInput, NotFlat, QuadratureFailure
@@ -279,6 +278,19 @@ def find_flat_vector(system: VectorSystem, budget: float) -> np.ndarray:
             f"best analysis mass {achieved:.6g} exceeds budget {budget:.6g}", achieved
         )
     return vecs[:, 0].astype(np.complex128)
+
+
+def block_diag(*arrays: np.ndarray) -> np.ndarray:
+    """The 2-d arrays laid out along the diagonal of a zero matrix, as scipy.linalg.block_diag."""
+    out = np.zeros(
+        (sum(a.shape[0] for a in arrays), sum(a.shape[1] for a in arrays)),
+        np.result_type(*(a.dtype for a in arrays)),
+    )
+    row = col = 0
+    for a in arrays:
+        out[row:row + a.shape[0], col:col + a.shape[1]] = a
+        row, col = row + a.shape[0], col + a.shape[1]
+    return out
 
 
 def assemble_block_system(blocks) -> VectorSystem:

@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import VectorSystem, _arithmetic, gram
 from .errors import CountMismatch, TooFewVectors
@@ -95,6 +94,9 @@ def _separation(r: np.ndarray | None) -> tuple[float, np.ndarray | None]:
     """(min_j 1 / ||row j of R^-1||, R^-1) from one triangular solve, or (0.0, None)."""
     if r is None:
         return 0.0, None
+    # imported at first use, so that importing framekit (every CLI call) does not load scipy
+    import scipy.linalg
+
     r_inv = scipy.linalg.solve_triangular(r, np.eye(r.shape[0], dtype=r.dtype))
     return float(1.0 / np.linalg.norm(r_inv, axis=1).max()), r_inv
 
@@ -211,6 +213,8 @@ def equivalence_constant(system_a: VectorSystem, system_b: VectorSystem) -> floa
             return math.inf
     reduced_a = gram(system_a.columns @ range_a)
     reduced_b = gram(system_b.columns @ range_a)
+    import scipy.linalg  # at first use, as in _separation
+
     pencil = scipy.linalg.eigh(reduced_b, reduced_a, eigvals_only=True)
     lo = max(float(pencil[0]), 0.0)
     hi = max(float(pencil[-1]), 0.0)

@@ -235,18 +235,23 @@ def _system_from_writer_text(text: str) -> VectorSystem | None:
     makes the same int and float objects as a parse of the whole text, and
     np.fromiter converts them as _flat_pairs does.  The tokens 0.0, the text of
     +0.0, are located by one array pass over the block's bytes and never
-    parsed (_block_pairs).  Once the tail's "dim" and
-    "count" match the number of pairs, each block goes straight into the
-    system's own C-order array, so the text and one array are held at once.
+    parsed (_block_pairs).  The tail is found from the end of the text and
+    gives "dim" and "count", so the number of pairs is read off the header,
+    not counted; a text too short for that many pairs is refused before the
+    array is allocated.  Each block goes straight into the system's own C-order
+    array, so the text and one array are held at once.  A block that would
+    overfill the array, or blocks that end short of it, leave the layout.
     Any text not in the writer's layout returns None and takes the general
     path, which then gives every result and diagnostic.  Each check is one
     C-level pass per block.
     """
     if not text.startswith(_WRITER_PREFIX):
         return None
-    end = text.find("]]", len(_WRITER_PREFIX))
-    # ',"' after the first "]]" rules out a tail such as ",}", which would parse as "{}"
-    if end < 0 or not text.startswith(',"', end + 2):
+    # the last ']],"', found from the end: one later than the pairs' end leaves
+    # a '"' among the pairs, which _block_pairs refuses, and ',"' rules out a
+    # tail such as ",}", which would parse as "{}"
+    end = text.rfind(']],"', len(_WRITER_PREFIX))
+    if end < 0:
         return None
     try:
         fields = json.loads("{" + text[end + 3:])
@@ -255,13 +260,14 @@ def _system_from_writer_text(text: str) -> VectorSystem | None:
     # json.loads of the whole text would keep the last of two "columns" keys
     if "columns" in fields:
         return None
-    start, stop = len(_WRITER_PREFIX) - 1, end + 1
-    n_pairs = text.count("],[", start, stop) + 1
     dim, count = fields.get("dim"), fields.get("count")
     # any other header takes the general path, which names what is wrong with it
-    if type(dim) is not int or type(count) is not int:
+    if type(dim) is not int or type(count) is not int or dim < 1 or count < 1:
         return None
-    if dim < 1 or count < 1 or dim * count != n_pairs:
+    start, stop = len(_WRITER_PREFIX) - 1, end + 1
+    n_pairs = dim * count
+    # the shortest pair is "[0,0]", so k pairs and their commas take 6k - 1 characters
+    if stop - start < 6 * n_pairs - 1:
         return None
     cols = np.empty((dim, count), np.complex128)
     # _BLOCK_PAIRS times the mean length of a pair and its comma
@@ -272,12 +278,14 @@ def _system_from_writer_text(text: str) -> VectorSystem | None:
         cut = text.find("],[", start + max(step - 2, 1), stop)
         cut = stop if cut < 0 else cut + 1
         pairs = _block_pairs(text[start:cut])
-        if pairs is None:
+        if pairs is None or filled + len(pairs) > n_pairs:
             return None
         start = cut + 1
         _fill_file_order(cols, filled, pairs)
         filled += len(pairs)
         del pairs  # before the next block is decoded
+    if filled < n_pairs:
+        return None
     return _system_from_fields(fields, lambda dim, count: cols)
 
 

@@ -5,12 +5,14 @@ The reference functions below are verbatim copies of the former
 ``build_prop53_truncation`` (renamed with a ``reference_`` prefix, the old
 ``LayeredBlock`` with its since-deleted fields included).  The current
 builders must give bitwise equal columns, equal labels and equal per-layer
-bookkeeping.
+bookkeeping.  The gallery's own block_diag must give the bits, dtype and
+layout of scipy.linalg.block_diag on every argument shape the builders pass.
 """
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import framekit as fk
 from framekit.core import VectorSystem
@@ -19,6 +21,7 @@ from framekit.gallery import (
     _complete_to_onb,
     _flat_conditional_basis,
     _require_positive,
+    block_diag,
     lemma51,
 )
 
@@ -188,3 +191,42 @@ def test_assemble_block_system_matches_reference(labeled):
     assert_same_system(
         fk.assemble_block_system(blocks), reference_assemble_block_system(blocks)
     )
+
+
+# ---------------------------------------------------------------------------
+# gallery.block_diag against the scipy.linalg.block_diag it replaced
+
+
+def block_diag_arguments():
+    """Argument lists of every shape the gallery lays out, and mixed dtypes."""
+    rng = np.random.default_rng(11)
+    square = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    wide = rng.standard_normal((2, 5))
+    flat = _flat_conditional_basis(0.1, 0.45, 8)
+    column = flat.flat_vector[:, None]
+    special = np.array([[-0.0, np.nan], [np.inf, 5e-324]])
+    return {
+        "complex blocks": [square, fk.lemma51(4).columns],
+        "real blocks": [wide, wide.T, special],
+        "real and complex blocks": [wide, square, special],
+        "mixed dtypes": [np.arange(6).reshape(2, 3), wide.astype(np.float32), square],
+        "integers only": [np.eye(2, dtype=np.int32), np.ones((1, 2), dtype=np.int64)],
+        "k x 1 columns": [column, square[:, :1], wide[:, 1:2]],
+        "the same column repeated": [column] * 4,
+        "the same array repeated": [flat.system.columns] * 3,
+        "complement bases repeated": [_complete_to_onb(flat.flat_vector)] * 2,
+        "strided views": [square[:, ::2], wide.T[::2]],
+        "an empty block": [square, np.zeros((2, 0)), wide],
+        "one block": [square],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(block_diag_arguments()))
+def test_block_diag_matches_scipy(name):
+    arrays = block_diag_arguments()[name]
+    out = block_diag(*arrays)
+    reference = scipy.linalg.block_diag(*arrays)
+    assert out.dtype == reference.dtype
+    assert out.shape == reference.shape
+    assert out.flags.c_contiguous
+    assert np.array_equal(out.view(np.uint8), np.ascontiguousarray(reference).view(np.uint8))

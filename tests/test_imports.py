@@ -6,17 +6,27 @@ No linter runs over the package, so a call to a name that was never imported
 source and checks every ``LOAD_GLOBAL``/``LOAD_NAME`` against the imported
 module's namespace, so such a fault fails here even on a path no other test
 reaches.
+
+Importing scipy.linalg takes longer than all of framekit, so framekit imports it
+only where it solves with it, at first use.  A fresh interpreter checks that the
+CLI commands which need no scipy solver never load it.
 """
 import builtins
 import dis
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
 import framekit
+from framekit.cli import main
 
 MODULES = sorted(
     ["framekit"]
@@ -111,3 +121,79 @@ def test_scan_flags_an_unread_private_helper():
     assert unread_private_helpers({"helpers": (source, namespace)}) == [
         ("helpers", "_orthonormal_extend")
     ]
+
+
+# A fresh interpreter imports framekit.cli, runs each command line of argv[1]
+# through main, and reports after each which scipy modules are loaded.
+FRESH_CLI = """
+import contextlib, io, json, sys
+
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+
+
+import framekit.cli
+
+after_import = scipy_modules()
+commands = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = framekit.cli.main(argv)
+    commands.append({"argv": argv, "code": code, "out": out.getvalue(), "scipy": scipy_modules()})
+print(json.dumps({"after import": after_import, "commands": commands}))
+"""
+
+
+def run_in_a_fresh_cli(argvs):
+    """The scipy modules that importing framekit.cli loads in a new interpreter,
+    then the code, output and loaded scipy modules after each command line."""
+    env = dict(os.environ)
+    src = str(Path(framekit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_CLI, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, check=True, timeout=600,
+    )
+    report = json.loads(proc.stdout)
+    assert [command["code"] for command in report["commands"]] == [0] * len(argvs), report
+    return report["after import"], report["commands"]
+
+
+def test_the_cli_loads_scipy_only_where_it_solves_with_it(tmp_path, capsys):
+    small, pairs = str(tmp_path / "prop53.json"), str(tmp_path / "pairs.json")
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "generator": {"kind": "lemma51", "n": 20},
+        "sweep": {"name": "n", "values": [20, 30]},
+        "extract": {"mode": "frame", "eps": 0.25, "c": 0.1},
+        "out": str(tmp_path / "sweep.csv"),
+    }))
+    without_scipy = [
+        ["gen", "--spec", '{"kind": "prop53Truncation", "M": 2, "epsilons": [0.2, 0.2]}',
+         "--out", small],
+        ["select", "--in", small, "--size", "4", "--method", "greedy"],
+        ["verify-lemmas", "--in", small],
+        ["extract", "--in", small, "--mode", "frame", "--eps", "0.25",
+         "--out", str(tmp_path / "frame.trace.json")],
+        ["sweep", "--plan", str(plan)],
+        ["gen", "--spec", '{"kind": "perturbedPairs", "n": 20}', "--out", pairs],
+    ]
+    analyze = ["analyze", "--in", pairs]
+    trace = tmp_path / "biorthogonal.trace.json"
+    extract = ["extract", "--in", pairs, "--mode", "biorthogonal", "--eps", "0.25",
+               "--out", str(trace)]
+
+    after_import, commands = run_in_a_fresh_cli(without_scipy + [analyze])
+    assert after_import == []
+    for command in commands[:-1]:
+        assert command["scipy"] == [], command["argv"]
+    # each solving command loads scipy.linalg itself, in a process where nothing else had
+    solving = [commands[-1], run_in_a_fresh_cli([extract])[1][0]]
+    trace_bytes = trace.read_bytes()
+    for command in solving:
+        assert "scipy.linalg" in command["scipy"], command["argv"]
+        assert main(command["argv"]) == 0
+        assert capsys.readouterr().out == command["out"], command["argv"]
+    assert trace.read_bytes() == trace_bytes

@@ -486,6 +486,20 @@ TOKENS = [
 SECOND_COLUMNS = '"columns": [[0.5,0.5],[0.5,0.5],[0.5,0.5],[0.5,0.5],[0.5,0.5],[0.5,0.5]]'
 ESCAPED_SECOND_COLUMNS = SECOND_COLUMNS.replace("columns", "col\\u0075mns")
 
+
+def with_header(text, dim, count):
+    """text with the header's "dim" and "count" set; the pairs hold no '"'."""
+    text = re.sub(r'"dim": \d+', f'"dim": {dim}', text)
+    return re.sub(r'"count": \d+', f'"count": {count}', text)
+
+
+# (dim, count) against the mutation base's 2 x 3: fewer pairs, more, as many in
+# another shape, and sizes whose array could not be allocated
+HEADER_SIZES = [(2, 2), (2, 4), (1, 3), (3, 3), (1, 1), (6, 1), (1, 6), (3, 2),
+                (2, 10**12), (10**12, 2), (10**6, 10**6)]
+# a field holding ']],"', which the fast path finds after the pairs' own end
+EXTRA_FIELD = '"extra": [[[1]],"x"]'
+
 TEXT_MUTATIONS = {
     **{f"token {t!r} at {pos}": _set_token(*pos, t) for t in TOKENS for pos in [(0, 0), (5, 1)]},
     # the first "," of the text is inside the first pair
@@ -519,6 +533,12 @@ TEXT_MUTATIONS = {
     "compact prefix": _edit_text(lambda text: text.replace('": [[', '":[[', 1)),
     "leading space": _edit_text(lambda text: " " + text),
     "text after the document": _edit_text(lambda text: text + "[]"),
+    **{f"header {dim} x {count}": _edit_tail(lambda t, dim=dim, count=count: with_header(t, dim, count))
+       for dim, count in HEADER_SIZES},
+    "a later ']],\"' last in the tail": _edit_tail(
+        lambda t: t.replace('"v": 1}', f'"v": 1,{EXTRA_FIELD}}}')),
+    "a later ']],\"' first in the tail": _edit_tail(
+        lambda t: t.replace('"count"', f'{EXTRA_FIELD},"count"')),
 }
 
 
@@ -659,6 +679,20 @@ def test_load_holds_the_text_and_one_array(tmp_path):
     assert text_bytes < array_bytes
     # the blocks of pairs take under 2 MiB; a copy of the decoded array would not fit
     assert traced_peak(lambda: ser.load_system(path)) <= text_bytes + array_bytes + 2**21
+
+
+@pytest.mark.parametrize("count", [63, 65, 1, 4096, 10**5, 10**12])
+def test_a_header_off_the_pairs_holds_the_text_and_one_array(count, tmp_path):
+    system = fk.random_frame(64, 64, 2)
+    path = tmp_path / "system.json"
+    ser.save_system(system, path)
+    path.write_text(with_header(path.read_text(), 64, count), encoding="utf-8")
+    text_bytes, array_bytes = path.stat().st_size, system.columns.nbytes
+    outcome = []
+    # a count of 10**5 is a 98 MiB array, which a text of 4096 pairs cannot fill
+    peak = traced_peak(lambda: outcome.append(load_outcome(ser.load_system, path)))
+    assert outcome == [load_outcome(general_load, path)]
+    assert peak <= text_bytes + array_bytes + 2**21
 
 
 def test_save_holds_one_block_of_columns(tmp_path):
