@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -26,7 +27,7 @@ from .core import (
     frame_report,
     random_unit_vector,
 )
-from .errors import FramekitError, SchemaError
+from .errors import BadParameter, FramekitError, SchemaError
 from .extraction import extract_biorthogonal, extract_frame
 from .gallery import exact_int, generate, real_number
 from .metrics import basis_metrics
@@ -97,8 +98,18 @@ def _cmd_analyze(args) -> int:
     # B = sigma_max^2, and A = sigma_min^2 when count >= dim, else 0.  Squaring
     # sigma errs in A by eps*kappa, where eigvalsh of a formed S errs by eps*kappa^2.
     svals = metrics.singular_values
+    # a Python float squared past the largest double raises OverflowError; once
+    # sigma_max^2 is finite, so is sigma_min^2
+    try:
+        upper = svals[0] ** 2
+    except OverflowError:
+        upper = math.inf
+    if not math.isfinite(upper):
+        raise BadParameter(
+            f"upper frame bound sigma_max^2 is not a finite double (sigma_max = {svals[0]!r})"
+        )
     lower = svals[-1] ** 2 if system.count >= system.dim else 0.0
-    report = _frame_report(system, (lower, svals[0] ** 2), DEFAULT_TOLERANCE)
+    report = _frame_report(system, (lower, upper), DEFAULT_TOLERANCE)
     print(
         ser.dumps(
             {

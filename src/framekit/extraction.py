@@ -73,6 +73,13 @@ class BoundCertificate:
     value: float
 
 
+def _check_eps_c(eps: float, c: float) -> None:
+    if not 0.0 < eps < 1.0:
+        raise BadParameter("eps must lie strictly between 0 and 1")
+    if not 0.0 < c <= 1.0:
+        raise BadParameter("c must lie in (0, 1]")
+
+
 def bound_certificate(
     eps: float, separation: float, hilbertian: float, c: float
 ) -> BoundCertificate:
@@ -82,14 +89,11 @@ def bound_certificate(
     (m = 1 once b >= 1); r = max(2, 1 + 2L/(c d)) + 1; a = r^-(m+1) / 2; the
     certificate is max(L, (r - 1) / (L a)), returned as infinity on overflow.
     """
-    if not 0.0 < eps < 1.0:
-        raise BadParameter("eps must lie strictly between 0 and 1")
+    _check_eps_c(eps, c)
     if not 0.0 < separation <= 1.0:
         raise BadParameter("separation must lie in (0, 1]")
     if hilbertian < 1.0:
         raise BadParameter("hilbertian constant must be at least 1")
-    if not 0.0 < c <= 1.0:
-        raise BadParameter("c must lie in (0, 1]")
     b = c * separation**2 / hilbertian**2
     if b >= 1.0:
         rounds = 1
@@ -132,7 +136,9 @@ def _peel(system: VectorSystem, mode: str, parameters: dict) -> ExtractionTrace:
             break
         taken = set(selected)
         remaining = [i for i in range(system.count) if i not in taken]
-        resid = cols[:, remaining].copy()
+        # one C-order copy: cols[:, remaining] would be an F-order one, whose
+        # column norms below sum in another order and change the trace's bits
+        resid = cols.take(remaining, axis=1)
         if selected:
             q = np.linalg.qr(cols[:, selected])[0]
             resid -= q @ (q.conj().T @ resid)
@@ -204,10 +210,7 @@ def extract_biorthogonal(
     independent family).  Raises NotSeparated when the separation constant is
     at or below tolerance.
     """
-    if not 0.0 < eps < 1.0:
-        raise BadParameter("eps must lie strictly between 0 and 1")
-    if not 0.0 < c <= 1.0:
-        raise BadParameter("c must lie in (0, 1]")
+    _check_eps_c(eps, c)
     m = system.count
     separation, hilbertian = separation_and_norm(system)
     if separation <= tolerance:
@@ -246,10 +249,7 @@ def extract_frame(
     delta; in the latter case the counting inequalities force the coverage
     bound anyway.
     """
-    if not 0.0 < eps < 1.0:
-        raise BadParameter("eps must lie strictly between 0 and 1")
-    if not 0.0 < c <= 1.0:
-        raise BadParameter("c must lie in (0, 1]")
+    _check_eps_c(eps, c)
     report = frame_report(system, tolerance)
     if not report.is_spanning:
         raise NotSpanning("frame extraction needs a spanning system")

@@ -3,13 +3,18 @@
 Documents carry a schema version field "v": 1.  Complex entries are written as
 [re, im] pairs in column-major order, numbers at full double precision so a
 round trip is bitwise exact.  Infinity is encoded as the string "inf", never
-as a bare JSON-illegal Infinity token.
+as a bare JSON-illegal Infinity token.  A result document (frame report, basis
+metrics, selection, extraction trace) is its dataclass's fields by name, with
+one exception: ExtractionRound.index is written as "round".  A field that is
+None is left out.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,17 +35,17 @@ def _encode_scalar(x: float):
     return float(x)
 
 
-def _decode_scalar(x) -> float:
+def _decode_scalar(x, field: str) -> float:
     if x == "inf":
         return math.inf
     if x == "-inf":
         return -math.inf
     if not isinstance(x, (int, float)) or isinstance(x, bool):
-        raise SchemaError(f"expected a number or 'inf', got {x!r}")
+        raise SchemaError(f"field {field!r}: expected a number or 'inf', got {x!r}")
     try:
         return float(x)
     except OverflowError:
-        raise SchemaError("entry too large for a double") from None
+        raise SchemaError(f"field {field!r}: entry too large for a double") from None
 
 
 def dumps(doc) -> str:
@@ -397,122 +402,107 @@ def _parse_json(text: str, source) -> object:
 
 
 # ---------------------------------------------------------------------------
-# reports, metrics, selections
+# result documents: reports, metrics, selections and extraction traces
+
+# the one document key that differs from its dataclass field's name
+_DOC_KEYS = {"index": "round"}
+
+
+def _encode_result(result) -> dict:
+    """The document of a result dataclass: each field that is not None, under its
+    _DOC_KEYS key or its name; a dict (trace parameters) is encoded value by
+    value and a nested result (a trace's rounds) as its own document.
+    """
+    return {
+        _DOC_KEYS.get(f.name, f.name): _encode_value(value)
+        for f in dataclasses.fields(result)
+        if (value := getattr(result, f.name)) is not None
+    }
+
+
+def _encode_value(value):
+    if isinstance(value, float):
+        return _encode_scalar(value)
+    if isinstance(value, dict):
+        return {key: _encode_value(item) for key, item in value.items()}
+    if isinstance(value, tuple):
+        # a result's tuple holds one kind of element, so its first picks the path
+        if value and isinstance(value[0], float):
+            return [_encode_scalar(x) for x in value]
+        if value and dataclasses.is_dataclass(value[0]):
+            return [_encode_result(x) for x in value]
+        return list(value)
+    return value
 
 
 def report_to_json(report: FrameReport) -> dict:
-    return {
-        "lower_bound": _encode_scalar(report.lower_bound),
-        "upper_bound": _encode_scalar(report.upper_bound),
-        "min_norm": _encode_scalar(report.min_norm),
-        "max_norm": _encode_scalar(report.max_norm),
-        "is_tight": report.is_tight,
-        "is_spanning": report.is_spanning,
-        "tolerance": report.tolerance,
-    }
+    return _encode_result(report)
 
 
 def metrics_to_json(metrics: BasisMetrics) -> dict:
-    return {
-        "riesz": _encode_scalar(metrics.riesz),
-        "hilbertian": _encode_scalar(metrics.hilbertian),
-        "besselian": _encode_scalar(metrics.besselian),
-        "schauder": _encode_scalar(metrics.schauder),
-        "separation": _encode_scalar(metrics.separation),
-        "singular_values": [_encode_scalar(s) for s in metrics.singular_values],
-    }
+    return _encode_result(metrics)
 
 
 def selection_to_json(result: SelectionResult) -> dict:
-    return {
-        "v": SCHEMA_VERSION,
-        "subset": list(result.subset),
-        "certified_lower_bound": _encode_scalar(result.certified_lower_bound),
-        "method": result.method,
-        "target_size": result.target_size,
-        "normalization_applied": result.normalization_applied,
-    }
-
-
-# ---------------------------------------------------------------------------
-# extraction traces
+    return {"v": SCHEMA_VERSION, **_encode_result(result)}
 
 
 def trace_to_json(trace: ExtractionTrace) -> dict:
-    rounds = []
-    for rnd in trace.rounds:
-        entry = {
-            "round": rnd.index,
-            "examined": list(rnd.examined),
-            "residual_norms": [_encode_scalar(x) for x in rnd.residual_norms],
-            "selected": list(rnd.selected),
-            "certified_bound": _encode_scalar(rnd.certified_bound),
-            "bt_target": rnd.bt_target,
-            "normalized": rnd.normalized,
-            "coverage": _encode_scalar(rnd.coverage),
-        }
-        if rnd.rule2_lower_bound is not None:
-            entry["rule2_lower_bound"] = _encode_scalar(rnd.rule2_lower_bound)
-        rounds.append(entry)
-    parameters = {}
-    for key, value in trace.parameters.items():
-        if isinstance(value, float):
-            parameters[key] = _encode_scalar(value)
-        else:
-            parameters[key] = value
-    return {
-        "v": SCHEMA_VERSION,
-        "mode": trace.mode,
-        "rounds": rounds,
-        "final_subset": list(trace.final_subset),
-        "final_riesz_constant": _encode_scalar(trace.final_riesz_constant),
-        "stop_reason": trace.stop_reason,
-        "parameters": parameters,
-    }
+    return {"v": SCHEMA_VERSION, **_encode_result(trace)}
+
+
+def _expect_float(doc: dict, field: str) -> float:
+    return _decode_scalar(_expect(doc, field, (int, float, str)), field)
+
+
+def _expect_floats(doc: dict, field: str) -> tuple[float, ...]:
+    return tuple(_decode_scalar(x, field) for x in _expect(doc, field, list))
+
+
+# the reader of each ExtractionRound field, called with the round's object and
+# the field's document key; a field with a default may be absent
+_ROUND_READERS = {
+    "index": partial(_expect, kinds=int),
+    "examined": _expect_indices,
+    "residual_norms": _expect_floats,
+    "selected": _expect_indices,
+    "certified_bound": _expect_float,
+    "bt_target": partial(_expect, kinds=int),
+    "normalized": partial(_expect, kinds=bool),
+    "coverage": _expect_float,
+    "rule2_lower_bound": _expect_float,
+}
+
+
+def _round_from_json(entry) -> ExtractionRound:
+    if not isinstance(entry, dict):
+        raise SchemaError("field 'rounds': expected a list of objects")
+    values = {}
+    for f in dataclasses.fields(ExtractionRound):
+        key = _DOC_KEYS.get(f.name, f.name)
+        if key in entry or f.default is dataclasses.MISSING:
+            values[f.name] = _ROUND_READERS[f.name](entry, key)
+    return ExtractionRound(**values)
 
 
 def trace_from_json(doc) -> ExtractionTrace:
     if not isinstance(doc, dict):
         raise SchemaError("trace document must be a JSON object")
     _expect_version(doc)
-    try:
-        rounds = tuple(
-            ExtractionRound(
-                index=_expect(entry, "round", int),
-                examined=_expect_indices(entry, "examined"),
-                residual_norms=tuple(
-                    _decode_scalar(x) for x in _expect(entry, "residual_norms", list)
-                ),
-                selected=_expect_indices(entry, "selected"),
-                certified_bound=_decode_scalar(entry["certified_bound"]),
-                bt_target=_expect(entry, "bt_target", int),
-                normalized=_expect(entry, "normalized", bool),
-                coverage=_decode_scalar(entry["coverage"]),
-                rule2_lower_bound=(
-                    _decode_scalar(entry["rule2_lower_bound"])
-                    if "rule2_lower_bound" in entry
-                    else None
-                ),
-            )
-            for entry in doc["rounds"]
-        )
-        parameters = {
-            key: (_decode_scalar(value) if isinstance(value, str) and value in ("inf", "-inf") else value)
+    mode = _expect(doc, "mode", str)
+    if mode not in ("frame", "biorthogonal"):
+        raise SchemaError(f"field 'mode': expected 'frame' or 'biorthogonal', got {mode!r}")
+    return ExtractionTrace(
+        mode=mode,
+        rounds=tuple(map(_round_from_json, _expect(doc, "rounds", list))),
+        final_subset=_expect_indices(doc, "final_subset"),
+        final_riesz_constant=_expect_float(doc, "final_riesz_constant"),
+        stop_reason=_expect(doc, "stop_reason", str),
+        parameters={
+            key: _decode_scalar(value, key) if value in ("inf", "-inf") else value
             for key, value in _expect(doc, "parameters", dict).items()
-        }
-        mode = doc["mode"]
-        if mode not in ("frame", "biorthogonal"):
-            raise SchemaError(f"field 'mode': expected 'frame' or 'biorthogonal', got {mode!r}")
-        return ExtractionTrace(
-            mode=mode,
-            rounds=rounds,
-            final_subset=_expect_indices(doc, "final_subset"),
-            final_riesz_constant=_decode_scalar(doc["final_riesz_constant"]),
-            stop_reason=_expect(doc, "stop_reason", str),
-            parameters=parameters,
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"malformed trace document: {exc!r}") from exc
+        },
+    )
 
 
 def save_trace(trace: ExtractionTrace, path) -> None:

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -631,6 +632,27 @@ def test_analyze_of_a_basis_makes_no_eigensolve_of_its_frame_operator(
     assert ("eigvalsh", (10, 10)) not in factorization_calls
     assert ("eigh", (10, 10)) not in factorization_calls
     assert formed_operators == []
+
+
+# sqrt(DBL_MAX) is about 1.3408e154: sigma_max^2 of diag(entry, 1) overflows a double
+# for the first two entries and is finite, just below DBL_MAX, for the third
+@pytest.mark.parametrize("entry, code", [(1e300, 2), (1.35e154, 2), (1.34e154, 0)])
+def test_analyze_refuses_a_frame_bound_past_the_largest_double(tmp_path, capsys, entry, code):
+    path = tmp_path / "system.json"
+    ser.save_system(fk.VectorSystem(np.array([[entry, 0.0], [0.0, 1.0]])), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, out, err = run_cli(capsys, "analyze", "--in", str(path))
+    assert got == code
+    if code:
+        assert out == "" and err.count("\n") == 1
+        diagnostic = json.loads(err)
+        assert diagnostic["error"] == "BadParameter"
+        assert "sigma_max^2 is not a finite double" in diagnostic["message"]
+    else:
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["frame_report"]["upper_bound"] == doc["basis_metrics"]["singular_values"][0] ** 2
 
 
 @pytest.mark.parametrize("sign", ["true", "false"])

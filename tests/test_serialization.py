@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -185,6 +186,113 @@ def test_selection_json_fields():
     doc = ser.selection_to_json(fk.select_greedy(fk.orthonormal(3), 2))
     assert doc["subset"] == [0, 1]
     assert doc["method"] == "greedy"
+
+
+# ---------------------------------------------------------------------------
+# result documents derive from their dataclasses
+
+
+def _strict_loads(text):
+    """json.loads that refuses the non-standard tokens NaN, Infinity and -Infinity."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: ser.report_to_json(fk.frame_report(fk.orthonormal(2), math.inf)), "tolerance"),
+        (lambda: ser.metrics_to_json(fk.basis_metrics(fk.duplicated(2))), "riesz"),
+        (lambda: ser.trace_to_json(fk.extract_biorthogonal(fk.perturbed_pairs(8), 0.25)),
+         "parameters"),
+    ],
+    ids=["report-tolerance", "metrics", "trace-parameters"],
+)
+def test_documents_with_an_infinite_value_are_strict_json(build, field):
+    doc = build()
+    assert "inf" in json.dumps(doc[field])
+    assert _strict_loads(ser.dumps(doc)) == doc
+
+
+def _parent_node(doc, path):
+    """The node of doc that holds the last step of path, and that step."""
+    *parents, key = path
+    for step in parents:
+        doc = doc[step]
+    return doc, key
+
+
+def _node_id(value):
+    """"rounds.0.coverage" for a path into a document; pytest's default id otherwise."""
+    return ".".join(map(str, value)) if isinstance(value, tuple) else None
+
+
+ROUND_FIELDS = [f.name for f in dataclasses.fields(fk.ExtractionRound)]
+
+
+def test_round_documents_write_and_read_every_extraction_round_field():
+    assert list(ser._ROUND_READERS) == ROUND_FIELDS
+    written = set()
+    for trace in (
+        fk.extract_frame(fk.random_frame(3, 6, 0), 0.25, 0.5),
+        fk.extract_biorthogonal(fk.perturbed_pairs(2), 0.25, 0.5),
+    ):
+        doc = json.loads(ser.dumps(ser.trace_to_json(trace)))
+        for rnd, entry in zip(trace.rounds, doc["rounds"], strict=True):
+            present = [name for name in ROUND_FIELDS if getattr(rnd, name) is not None]
+            assert set(entry) == {ser._DOC_KEYS.get(name, name) for name in present}
+            written |= set(entry)
+        assert ser.trace_from_json(doc).rounds == trace.rounds
+    assert written == {ser._DOC_KEYS.get(name, name) for name in ROUND_FIELDS}
+
+
+REQUIRED_ROUND_KEYS = ["round", "examined", "residual_norms", "selected", "certified_bound",
+                       "bt_target", "normalized", "coverage"]
+TRACE_KEYS = ["mode", "rounds", "final_subset", "final_riesz_constant", "stop_reason", "parameters"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("rounds", 0, key) for key in REQUIRED_ROUND_KEYS] + [(key,) for key in TRACE_KEYS],
+    ids=_node_id,
+)
+def test_trace_decoder_names_a_missing_field(path):
+    doc = ser.trace_to_json(fk.extract_frame(fk.lemma51(6), 0.25))
+    node, key = _parent_node(doc, path)
+    del node[key]
+    with pytest.raises(SchemaError) as exc:
+        ser.trace_from_json(doc)
+    assert str(exc.value) == f"field {key!r}: missing"
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("rounds",), [5]),
+        (("rounds",), 5),
+        (("rounds",), {"0": {}}),
+        (("rounds", 0, "certified_bound"), None),
+        (("rounds", 0, "coverage"), [0.5]),
+        (("rounds", 0, "coverage"), True),
+        (("rounds", 0, "rule2_lower_bound"), "x"),
+        (("rounds", 0, "residual_norms", 0), None),
+        (("final_riesz_constant",), {}),
+        (("final_riesz_constant",), "Infinity"),
+        (("mode",), None),
+        (("parameters",), None),
+    ],
+    ids=_node_id,
+)
+def test_trace_decoder_names_an_ill_typed_field(path, value):
+    doc = ser.trace_to_json(fk.extract_frame(fk.lemma51(6), 0.25))
+    node, key = _parent_node(doc, path)
+    node[key] = value
+    name = next(step for step in reversed(path) if isinstance(step, str))
+    with pytest.raises(SchemaError, match=f"^field '{name}': "):
+        ser.trace_from_json(doc)
 
 
 def test_gallery_spec_round_trip():
