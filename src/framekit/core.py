@@ -19,14 +19,19 @@ from .errors import BadParameter, DimensionMismatch, NotSpanning, ZeroNorm
 DEFAULT_TOLERANCE = 1e-10
 
 
+def _is_real(array: np.ndarray) -> bool:
+    """Whether no entry of array has a nonzero imaginary part (-0.0 counts as zero)."""
+    return not array.imag.any()
+
+
 def _arithmetic(columns: np.ndarray) -> np.ndarray:
-    """columns as contiguous float64 when no entry has a nonzero imaginary part.
+    """columns as contiguous float64 when _is_real(columns).
 
     numpy picks the LAPACK routine by dtype, so a real system is factored in
     real arithmetic (about a quarter of the complex flops); columns with any
-    nonzero imaginary part (-0.0 counts as zero) are returned unchanged.
+    nonzero imaginary part are returned unchanged.
     """
-    if columns.imag.any():
+    if not _is_real(columns):
         return columns
     return np.ascontiguousarray(columns.real, dtype=np.float64)
 
@@ -223,6 +228,14 @@ def frame_bounds(system: VectorSystem) -> tuple[float, float]:
 
 
 def _operator_bounds(s: np.ndarray) -> tuple[float, float]:
+    """Extreme eigenvalues (A, B) of the frame operator s, clipped at zero.
+
+    An s with an entry past the largest double (a column entry above about
+    1.3e154 squares to inf) has no eigenvalues LAPACK can compute; it is
+    refused with BadParameter.
+    """
+    if not np.all(np.isfinite(s)):
+        raise BadParameter("frame operator S = F F^* has an entry that is not a finite double")
     vals = np.linalg.eigvalsh(s)
     return float(max(vals[0], 0.0)), float(max(vals[-1], 0.0))
 

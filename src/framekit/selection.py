@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VectorSystem, gram
+from .core import VectorSystem, _is_real, gram
 from .errors import BadParameter, BadTarget, TooLarge, ZeroNorm
 from .metrics import smallest_singular_value
 
@@ -93,12 +93,20 @@ def _bordered_min_eigs(
     scale is max diag(gram).  With G_S = U diag(mu) U^H and z = U^H gram[chosen, j],
     that eigenvalue r is the root below mu_0 of the secular equation
     f(lam) = g_jj - lam - sum_i |z_i|^2 / (mu_i - lam) = 0 (Golub 1973); when z_0
-    vanishes and no root lies below mu_0, r is mu_0 itself.  Weyl's inequality
-    and interlacing give min(mu_0, g_jj) - |z| <= r <= min(mu_0, g_jj).
-    Newton's method on (mu_0 - lam) f(lam), which is convex for lam < mu_0 and
-    has no pole there, climbs from the lower end to r without overshooting, so
-    every iterate stays in that bracket; it stops once a step is below
-    4 eps * scale.
+    vanishes and no root lies below mu_0, r is mu_0 itself.
+
+    In the eigenbasis of G_S the bordered block is [[diag(mu), z], [z^H, g_jj]],
+    and diag(mu) >= mu_0 I in the Loewner order, so the block dominates
+    [[mu_0 I, z], [z^H, g_jj]].  The smallest eigenvalue of that matrix is the
+    smallest one of the 2x2 [[mu_0, |z|], [|z|, g_jj]] (the other eigenvalues
+    are mu_0, on the vectors orthogonal to z), so
+    lam_2 = min(mu_0, g_jj) - |z|^2 / (h + sqrt(h^2 + |z|^2)), h = |mu_0 - g_jj| / 2,
+    is a lower bound of r; with interlacing, lam_2 <= r <= min(mu_0, g_jj).
+    lam_2 is at least Weyl's min(mu_0, g_jj) - |z|, and equals r when one
+    index is chosen.  Newton's method on (mu_0 - lam) f(lam), which is convex
+    for lam < mu_0 and has no pole there, climbs from lam_2 to r without
+    overshooting, so every iterate stays in the bracket; it stops once a step
+    is below 4 eps * scale.
 
     Past the rank of the pool the chosen block is singular.  The bordered block
     is a Gram matrix, so every root lies in [0, min(mu_0, g_jj)]; once
@@ -106,6 +114,9 @@ def _bordered_min_eigs(
     whatever the roots, and the first one wins.  That case skips Newton (which
     converges only linearly at a double eigenvalue near 0) and returns the
     bracket tops; the caller still certifies the winner with eigvalsh.
+
+    rows may be float64 (a real pool) or complex128; the ranking runs in the
+    arithmetic of rows.
     """
     d = diag[candidates]
     if not chosen:
@@ -117,7 +128,7 @@ def _bordered_min_eigs(
     tol = 4.0 * np.finfo(float).eps * scale
     z = u.conj().T @ rows[:, candidates]
     w = np.real(z * z.conj())
-    lam = hi - np.sqrt(w.sum(axis=0))
+    lam = _secular_start(mu[0], d, w.sum(axis=0))
     active = np.flatnonzero(hi - lam > tol)
     while active.size:
         x = lam[active]
@@ -133,12 +144,28 @@ def _bordered_min_eigs(
     return lam
 
 
-def _greedy(row, diag: np.ndarray, limit: int, stop_below: float | None):
+def _secular_start(mu_0: float, d: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
+    """lambda_min of [[mu_0, |z|], [|z|, d]] for each d and |z|^2 in sq_norms.
+
+    Written as min(mu_0, d) - |z|^2 / (h + sqrt(h^2 + |z|^2)), h = |mu_0 - d| / 2,
+    which subtracts no two close numbers and never exceeds min(mu_0, d); a
+    zero |z| (where h may be 0 too) gives min(mu_0, d).
+    """
+    h = 0.5 * np.abs(mu_0 - d)
+    denom = h + np.sqrt(h * h + sq_norms)
+    drop = np.divide(sq_norms, denom, out=np.zeros_like(sq_norms), where=sq_norms > 0.0)
+    return np.minimum(mu_0, d) - drop
+
+
+def _greedy(row, diag: np.ndarray, limit: int, stop_below: float | None, real: bool):
     """The greedy loop of greedy_order, reading the Gram only through row.
 
     row(j) returns row j of the Hermitian Gram matrix, and diag is its real
     diagonal.  A step reads only the rows of indices already picked, so the
     loop asks for one row per pick and never needs the whole Gram matrix.
+    When real (the pool has no nonzero imaginary part), candidates are ranked
+    in float64 off the real parts of those rows; the winner is always
+    certified with eigvalsh of the complex128 rows.
     """
     m = diag.shape[0]
     limit = min(limit, m)
@@ -146,11 +173,12 @@ def _greedy(row, diag: np.ndarray, limit: int, stop_below: float | None):
     taken = np.zeros(m, dtype=bool)
     bounds: list[float] = []
     rows = np.empty((limit, m), dtype=np.complex128)
+    ranking = rows.real if real else rows
     scale = float(np.max(diag, initial=0.0))
     while len(chosen) < limit:
         k = len(chosen)
         candidates = np.flatnonzero(~taken)
-        lams = _bordered_min_eigs(rows[:k], chosen, candidates, diag, scale)
+        lams = _bordered_min_eigs(ranking[:k], chosen, candidates, diag, scale)
         pick = _first_tie(lams, scale)
         best_j = int(candidates[pick])
         rows[k] = row(best_j)
@@ -178,7 +206,7 @@ def greedy_order(gram: np.ndarray, limit: int, stop_below: float | None = None):
     chosen block (one eigh, see _bordered_min_eigs) and certifies only the
     winner, with eigvalsh of its Gram block.
     """
-    return _greedy(gram.__getitem__, np.real(np.diagonal(gram)), limit, stop_below)
+    return _greedy(gram.__getitem__, np.real(np.diagonal(gram)), limit, stop_below, _is_real(gram))
 
 
 def select_greedy(
@@ -195,7 +223,8 @@ def select_greedy(
     cols = _validated_columns(system, normalize)
     re, im = cols.real, cols.imag
     sq_norms = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
-    chosen, _ = _greedy(lambda j: cols[:, j].conj() @ cols, sq_norms, target_size, None)
+    real = _is_real(cols)
+    chosen, _ = _greedy(lambda j: cols[:, j].conj() @ cols, sq_norms, target_size, None, real)
     bound = smallest_singular_value(cols[:, chosen])
     return SelectionResult(
         subset=tuple(sorted(chosen)),

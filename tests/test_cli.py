@@ -655,6 +655,34 @@ def test_analyze_refuses_a_frame_bound_past_the_largest_double(tmp_path, capsys,
         assert doc["frame_report"]["upper_bound"] == doc["basis_metrics"]["singular_values"][0] ** 2
 
 
+def overflowing_system():
+    """A 3x4 real system with one entry 1e300: its frame operator S overflows."""
+    rng = np.random.default_rng(1)
+    n = int(rng.integers(2, 5))
+    m = int(rng.integers(n, n + 3))
+    cols = rng.standard_normal((n, m))
+    cols[1, 3] = 1e300
+    return fk.VectorSystem(cols)
+
+
+@pytest.mark.parametrize("mode", ["frame", "biorthogonal"])
+def test_extract_diagnoses_a_frame_operator_past_the_largest_double(tmp_path, capsys, mode):
+    system = overflowing_system()
+    assert (system.dim, system.count) == (3, 4)
+    path, trace = tmp_path / "system.json", tmp_path / "trace.json"
+    ser.save_system(system, path)
+    argv = ("extract", "--in", str(path), "--mode", mode, "--eps", "0.25", "--out", str(trace))
+    with np.errstate(over="ignore"):  # forming S overflows; the check of S diagnoses it
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    diagnostic = json.loads(err.splitlines()[-1])
+    assert set(diagnostic) == {"error", "message"}
+    if mode == "frame":
+        assert diagnostic["error"] == "BadParameter"
+        assert "not a finite double" in diagnostic["message"]
+    assert not trace.exists()
+
+
 @pytest.mark.parametrize("sign", ["true", "false"])
 def test_gen_refuses_a_flag_for_the_sign(tmp_path, capsys, sign):
     spec = f'{{"kind": "weightedExponentials", "a": 0.25, "N": 3, "sign": {sign}}}'

@@ -429,3 +429,12 @@ def test_coverage_target_handles_float_dust():
     assert fk.coverage_target(7, 0.5) == 4  # ceil(3.5)
     with pytest.raises(BadParameter):
         fk.coverage_target(10, 0.0)
+
+
+def test_frame_bounds_refuse_an_operator_past_the_largest_double():
+    # 1e300 squares past the largest double, so S holds an inf
+    system = fk.VectorSystem(np.array([[1e300, 0.0], [0.0, 1.0]]))
+    with np.errstate(over="ignore"), pytest.raises(BadParameter, match="not a finite double"):
+        fk.frame_report(system)
+    with np.errstate(over="ignore"), pytest.raises(BadParameter, match="not a finite double"):
+        fk.check_counting_lemmas(system)

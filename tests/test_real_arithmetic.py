@@ -5,6 +5,10 @@ float64: core.frame_operator, core._apply_power and metrics._factor pass its
 columns through core._arithmetic.  Any other system runs the complex128 path
 unchanged.  The reference below runs the same numpy calls on the complex128
 matrices, by making that dispatch the identity.
+
+Greedy selection ranks the candidates of a real pool (core._is_real) in
+float64 and certifies each pick with eigvalsh of the complex128 Gram rows.
+Its reference ranks in complex128 with the ranking code as it was before.
 """
 import math
 
@@ -14,7 +18,11 @@ from conftest import FACTORIZATIONS
 
 import framekit as fk
 import framekit.metrics
+from framekit import selection
 from framekit.cli import VERIFY_TOLERANCE, _run_verifications
+from framekit.core import _is_real
+from framekit.gallery import GALLERY_KINDS
+from framekit.selection import greedy_order
 
 
 def prop53_165x332():
@@ -198,3 +206,127 @@ def test_flat_vectors_and_transformed_systems_stay_complex128():
     _, blocks = fk.build_prop53_truncation(2, [0.2, 0.2])
     assert all(block.flat_subspace.dtype == np.complex128 for block in blocks)
     assert fk.power_transform(system, 0.0).columns.dtype == np.complex128
+
+
+# ---------------------------------------------------------------------------
+# greedy ranking of a real pool
+
+
+def complex_bordered_min_eigs(rows, chosen, candidates, diag, scale):
+    """selection._bordered_min_eigs as it was before real ranking and the 2x2
+    Newton start: it ranks in the complex128 rows and starts Newton at
+    min(mu_0, g_jj) - |z|.  Test-only parity reference."""
+    d = diag[candidates]
+    if not chosen:
+        return d
+    mu, u = np.linalg.eigh(rows[:, chosen])
+    hi = np.minimum(mu[0], d)
+    if mu[0] <= 0.5 * selection.TIE_RTOL * scale:
+        return hi
+    tol = 4.0 * np.finfo(float).eps * scale
+    z = u.conj().T @ rows[:, candidates]
+    w = np.real(z * z.conj())
+    lam = hi - np.sqrt(w.sum(axis=0))
+    active = np.flatnonzero(hi - lam > tol)
+    while active.size:
+        x = lam[active]
+        inv = 1.0 / (mu[:, None] - x)
+        terms = w[:, active] * inv
+        f = d[active] - x - terms.sum(axis=0)
+        df = -1.0 - (terms * inv).sum(axis=0)
+        gap = mu[0] - x
+        step = gap * f / (f - gap * df)
+        lam[active] = np.minimum(x + step, hi[active])
+        active = active[(f > 0.0) & (step > tol) & (hi[active] - lam[active] > tol)]
+    return lam
+
+
+@pytest.fixture
+def complex_ranking(monkeypatch):
+    """Call fn(*args) with every pool ranked by complex_bordered_min_eigs in complex128."""
+
+    def run(fn, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(selection, "_is_real", lambda array: False)
+            patch.setattr(selection, "_bordered_min_eigs", complex_bordered_min_eigs)
+            return fn(*args)
+
+    return run
+
+
+RANKING_SYSTEMS = {
+    **REAL_SYSTEMS,
+    "duplicated": lambda: fk.duplicated(10),
+    "duplicated-double": lambda: fk.duplicated(8, True),
+    "lemma51-40": lambda: fk.lemma51(40),
+}
+
+
+def test_ranking_systems_cover_every_real_gallery_kind():
+    kinds = {next(kind for kind in GALLERY_KINDS if name.startswith(kind))
+             for name in RANKING_SYSTEMS}
+    assert kinds == set(GALLERY_KINDS) - {"randomFrame"}
+
+
+@pytest.mark.parametrize("name", sorted(RANKING_SYSTEMS))
+def test_real_ranking_matches_the_complex_ranking(name, complex_ranking):
+    system = RANKING_SYSTEMS[name]()
+    g = system.gram()
+    assert _is_real(g)
+    # a few picks past the rank, where the chosen block turns singular
+    limit = min(system.count, system.dim + 4)
+    assert greedy_order(g, limit) == complex_ranking(greedy_order, g, limit)
+    for k in sorted({1, min(8, system.count), min(system.count // 2, 40)}):
+        got = fk.select_greedy(system, k).subset
+        assert got == complex_ranking(fk.select_greedy, system, k).subset, k
+
+
+@pytest.fixture
+def eigen_dtypes(monkeypatch):
+    """Operand dtype of every np.linalg.eigh and np.linalg.eigvalsh call, by name."""
+    dtypes = {"eigh": [], "eigvalsh": []}
+    for name, seen in dtypes.items():
+        def recorded(a, *args, _original=getattr(np.linalg, name), _seen=seen, **kwargs):
+            _seen.append(np.asarray(a).dtype)
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    return dtypes
+
+
+def run_greedy(system):
+    greedy_order(system.gram(), min(system.count, 40))
+    fk.select_greedy(system, min(8, system.count))
+
+
+def test_real_pool_is_ranked_in_float64_and_certified_in_complex128(eigen_dtypes):
+    system = prop53_165x332()
+    for seen in eigen_dtypes.values():
+        seen.clear()
+    run_greedy(system)
+    assert eigen_dtypes["eigh"] and eigen_dtypes["eigvalsh"]
+    assert set(eigen_dtypes["eigh"]) == {np.dtype(np.float64)}
+    assert set(eigen_dtypes["eigvalsh"]) == {np.dtype(np.complex128)}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: fk.random_frame(16, 40, 1), id="randomFrame"),
+        pytest.param(lambda: one_tiny_imaginary_part(fk.lemma51(12)), id="lemma51-1e-300j"),
+    ],
+)
+def test_complex_pool_is_ranked_and_certified_in_complex128(build, eigen_dtypes):
+    system = build()
+    for seen in eigen_dtypes.values():
+        seen.clear()
+    run_greedy(system)
+    assert eigen_dtypes["eigh"] and eigen_dtypes["eigvalsh"]
+    assert set(eigen_dtypes["eigh"]) == {np.dtype(np.complex128)}
+    assert set(eigen_dtypes["eigvalsh"]) == {np.dtype(np.complex128)}
+
+
+def one_tiny_imaginary_part(system):
+    cols = system.columns.copy()
+    cols[3, 5] += 1e-300j
+    return fk.VectorSystem(cols)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,7 +11,13 @@ from framekit import core, extraction, selection
 from framekit import serialization as ser
 from framekit.core import gram
 from framekit.errors import BadParameter, BadTarget, TooLarge, ZeroNorm
-from framekit.selection import _first_tied_best, _min_eig, greedy_order
+from framekit.selection import (
+    _bordered_min_eigs,
+    _first_tied_best,
+    _min_eig,
+    _secular_start,
+    greedy_order,
+)
 
 
 def unit_norm_instance(seed):
@@ -294,3 +301,59 @@ def test_select_greedy_forms_no_count_by_count_gram(monkeypatch):
     monkeypatch.setattr(core, "gram", refuse)
     monkeypatch.setattr(selection, "gram", refuse)
     assert fk.select_greedy(system, 8) == expected
+
+
+def test_select_greedy_makes_no_real_copy_of_the_system():
+    # only the Gram rows of the picks are ranked in float64; a float64 copy of
+    # the columns alone would be columns.nbytes // 2
+    system = prop53_small()
+    assert traced_peak(lambda: fk.select_greedy(system, 8)) <= system.columns.nbytes // 4
+
+
+def random_arrowhead(seed):
+    """Chosen block diag(mu), mu clustered above mu_0, and border columns z with z_0 = 0.
+
+    Returns (mu, z, g): candidate j borders diag(mu) with z[:, j] and the
+    diagonal entry g[j], which lies below mu_0 for some candidates and above it
+    for the others.
+    """
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 101))
+    count = int(rng.integers(1, 30))
+    mu_0 = 10.0 ** rng.uniform(-3, 1)
+    gaps = 10.0 ** rng.uniform(-14, 0, k - 1) * rng.integers(0, 2, k - 1)
+    mu = np.sort(np.concatenate(([mu_0], mu_0 * (1.0 + gaps))))
+    z = rng.standard_normal((k, count)) * 10.0 ** rng.uniform(-8, 0, count) * mu_0
+    z[0] = 0.0
+    g = mu_0 * (1.0 + rng.uniform(-0.9, 0.9, count))
+    return mu, z, g
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_secular_start_brackets_the_bordered_eigenvalue(seed):
+    mu, z, g = random_arrowhead(seed)
+    k, count = z.shape
+    diag = np.concatenate((mu, g))
+    scale = float(diag.max())
+    blocks = [np.block([[np.diag(mu), z[:, [j]]], [z[:, [j]].T, g[[j]][:, None]]])
+              for j in range(count)]
+    roots = np.array([np.linalg.eigvalsh(block)[0] for block in blocks])
+    sq_norms = (z * z).sum(axis=0)
+
+    start = _secular_start(mu[0], g, sq_norms)
+    assert np.all(start <= roots + 1e-14 * scale)
+    weyl = np.minimum(mu[0], g) - np.sqrt(sq_norms)
+    assert np.all(start >= weyl - 4 * np.finfo(float).eps * scale)
+    assert np.all(start <= np.minimum(mu[0], g))
+
+    rows = np.hstack((np.diag(mu), z))
+    lams = _bordered_min_eigs(rows, list(range(k)), np.arange(k, k + count), diag, scale)
+    assert np.all(np.abs(lams - roots) <= 1e-13 * scale)
+
+
+def test_secular_start_is_the_root_for_one_chosen_index():
+    mu_0, g, z = 2.0, np.array([1.0, 2.0, 3.0]), np.array([0.5, 1e-9, 0.0])
+    start = _secular_start(mu_0, g, z * z)
+    roots = [np.linalg.eigvalsh([[mu_0, b], [b, d]])[0] for b, d in zip(z, g)]
+    np.testing.assert_allclose(start, roots, rtol=0.0, atol=4 * np.finfo(float).eps * 3.0)
+    assert start[2] == 2.0  # a zero border leaves min(mu_0, g) = mu_0
