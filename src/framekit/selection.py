@@ -100,7 +100,7 @@ def _bordered_min_eigs(
     [[mu_0 I, z], [z^H, g_jj]].  The smallest eigenvalue of that matrix is the
     smallest one of the 2x2 [[mu_0, |z|], [|z|, g_jj]] (the other eigenvalues
     are mu_0, on the vectors orthogonal to z), so
-    lam_2 = min(mu_0, g_jj) - |z|^2 / (h + sqrt(h^2 + |z|^2)), h = |mu_0 - g_jj| / 2,
+    lam_2 = min(mu_0, g_jj) - |z|^2 / (h + hypot(h, |z|)), h = |mu_0 - g_jj| / 2,
     is a lower bound of r; with interlacing, lam_2 <= r <= min(mu_0, g_jj).
     lam_2 is at least Weyl's min(mu_0, g_jj) - |z|, and equals r when one
     index is chosen.  Newton's method on (mu_0 - lam) f(lam), which is convex
@@ -147,12 +147,13 @@ def _bordered_min_eigs(
 def _secular_start(mu_0: float, d: np.ndarray, sq_norms: np.ndarray) -> np.ndarray:
     """lambda_min of [[mu_0, |z|], [|z|, d]] for each d and |z|^2 in sq_norms.
 
-    Written as min(mu_0, d) - |z|^2 / (h + sqrt(h^2 + |z|^2)), h = |mu_0 - d| / 2,
+    Written as min(mu_0, d) - |z|^2 / (h + hypot(h, |z|)), h = |mu_0 - d| / 2,
     which subtracts no two close numbers and never exceeds min(mu_0, d); a
-    zero |z| (where h may be 0 too) gives min(mu_0, d).
+    zero |z| (where h may be 0 too) gives min(mu_0, d).  hypot keeps the
+    denominator finite where h^2 alone would overflow (h above about 1.3e154).
     """
     h = 0.5 * np.abs(mu_0 - d)
-    denom = h + np.sqrt(h * h + sq_norms)
+    denom = h + np.hypot(h, np.sqrt(sq_norms))
     drop = np.divide(sq_norms, denom, out=np.zeros_like(sq_norms), where=sq_norms > 0.0)
     return np.minimum(mu_0, d) - drop
 

@@ -310,28 +310,31 @@ def test_select_greedy_makes_no_real_copy_of_the_system():
     assert traced_peak(lambda: fk.select_greedy(system, 8)) <= system.columns.nbytes // 4
 
 
-def random_arrowhead(seed):
+def random_arrowhead(seed, huge=False):
     """Chosen block diag(mu), mu clustered above mu_0, and border columns z with z_0 = 0.
 
     Returns (mu, z, g): candidate j borders diag(mu) with z[:, j] and the
     diagonal entry g[j], which lies below mu_0 for some candidates and above it
-    for the others.
+    for the others.  huge puts mu_0 in [1e154, 1e155], where |mu_0 - g|^2
+    overflows while |z|^2 stays finite.
     """
     rng = np.random.default_rng(seed)
     k = int(rng.integers(2, 101))
     count = int(rng.integers(1, 30))
-    mu_0 = 10.0 ** rng.uniform(-3, 1)
+    mu_0 = 10.0 ** rng.uniform(154, 155) if huge else 10.0 ** rng.uniform(-3, 1)
     gaps = 10.0 ** rng.uniform(-14, 0, k - 1) * rng.integers(0, 2, k - 1)
     mu = np.sort(np.concatenate(([mu_0], mu_0 * (1.0 + gaps))))
-    z = rng.standard_normal((k, count)) * 10.0 ** rng.uniform(-8, 0, count) * mu_0
+    z_scale = 10.0 ** rng.uniform(-8, -3 if huge else 0, count)
+    z = rng.standard_normal((k, count)) * z_scale * mu_0
     z[0] = 0.0
     g = mu_0 * (1.0 + rng.uniform(-0.9, 0.9, count))
     return mu, z, g
 
 
+@pytest.mark.parametrize("huge", [False, True])
 @pytest.mark.parametrize("seed", range(40))
-def test_secular_start_brackets_the_bordered_eigenvalue(seed):
-    mu, z, g = random_arrowhead(seed)
+def test_secular_start_brackets_the_bordered_eigenvalue(seed, huge):
+    mu, z, g = random_arrowhead(seed, huge)
     k, count = z.shape
     diag = np.concatenate((mu, g))
     scale = float(diag.max())
@@ -357,3 +360,16 @@ def test_secular_start_is_the_root_for_one_chosen_index():
     roots = [np.linalg.eigvalsh([[mu_0, b], [b, d]])[0] for b, d in zip(z, g)]
     np.testing.assert_allclose(start, roots, rtol=0.0, atol=4 * np.finfo(float).eps * 3.0)
     assert start[2] == 2.0  # a zero border leaves min(mu_0, g) = mu_0
+
+
+def test_greedy_ranks_at_the_root_where_the_start_would_overflow():
+    # after a, mu_0 = |a|^2 = 2.99e154, so (mu_0 - g_jj)^2 / 4 overflows; b is
+    # parallel to a (bordered eigenvalue 0) and c is orthogonal to it (1e150)
+    cols = np.array([[1.73e77, 1e75, 0.0], [0.0, 0.0, 1e75]])
+    system = fk.VectorSystem(cols)
+    order, bounds = greedy_order(gram(system.columns), 2)
+    assert order == [0, 2]
+    assert bounds[1] == pytest.approx(1e75)
+    result = fk.select_greedy(system, 2)
+    assert result.subset == (0, 2)
+    assert result.certified_lower_bound == pytest.approx(1e75)
