@@ -154,24 +154,23 @@ def _cmd_select(args) -> int:
 
 
 def _run_verifications(system, canonical: bool) -> list[dict]:
-    """The verify-lemmas checks.  S is formed once: the counting check takes its
-    frame bounds from it, and its one eigendecomposition gives the S^-1 that
-    every probe applies and the canonical transform S^-1/2.
+    """The verify-lemmas checks.  S is formed and factored once: its one
+    eigendecomposition gives the counting check its frame bounds, every probe
+    the same S^-1, and the canonical transform S^-1/2.
     """
     checks: list[dict] = []
 
     def record(name: str, ok: bool, value: float) -> None:
         checks.append({"name": name, "ok": bool(ok), "value": ser._encode_scalar(value)})
 
-    s = frame_operator(system)
-    slacks = _counting_slacks(system, s)
+    power = OperatorPower._of_operator(frame_operator(system), -1.0)
+    slacks = _counting_slacks(system, power.bounds)
     record("dimension_slack", slacks.dimension_slack >= -VERIFY_TOLERANCE, slacks.dimension_slack)
     record(
         "cardinality_slack",
         slacks.cardinality_slack >= -VERIFY_TOLERANCE,
         slacks.cardinality_slack,
     )
-    power = OperatorPower._of_operator(s, -1.0)
     s_inv = power.matrix()
     rng = np.random.default_rng(VERIFY_SEED)
     worst_recon = 0.0

@@ -37,9 +37,15 @@ def _arithmetic(columns: np.ndarray) -> np.ndarray:
 
 
 def gram(columns: np.ndarray) -> np.ndarray:
-    """Gram matrix columns^H columns, symmetrized so it is exactly Hermitian."""
-    g = columns.conj().T @ columns
-    return 0.5 * (g + g.conj().T)
+    """Gram matrix columns^H columns, symmetrized so it is exactly Hermitian.
+
+    An entry past the largest double comes out inf or nan without a numpy
+    warning: the callers that factor a Gram or a frame operator refuse it with
+    one BadParameter diagnostic (OperatorPower._of_operator, select_exhaustive).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = columns.conj().T @ columns
+        return 0.5 * (g + g.conj().T)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -162,8 +168,10 @@ class FrameReport:
 class OperatorPower:
     """Spectral data of the frame operator, prepared for taking real powers.
 
-    For a system with no nonzero imaginary part S is float64, and so are the
-    eigenvectors and every matrix S^exponent built from them.
+    Its eigh is the one factorization of a frame operator in framekit: the
+    frame bounds, S^exponent and gallery.find_flat_vector's bottom eigenvector
+    all read it.  For a system with no nonzero imaginary part S is float64,
+    and so are the eigenvectors and every matrix S^exponent built from them.
     """
 
     exponent: float
@@ -176,15 +184,27 @@ class OperatorPower:
 
     @classmethod
     def _of_operator(cls, s: np.ndarray, exponent: float) -> "OperatorPower":
-        """compute, for the frame operator s already formed."""
+        """compute, for the frame operator s already formed.
+
+        An s with an entry past the largest double (a column entry above about
+        1.3e154 squares to inf) has no eigenvalues LAPACK can compute; it is
+        refused with BadParameter.
+        """
+        if not np.all(np.isfinite(s)):
+            raise BadParameter("frame operator S = F F^* has an entry that is not a finite double")
         vals, vecs = np.linalg.eigh(s)
         vals = np.maximum(vals[::-1], 0.0)
         vecs = vecs[:, ::-1]
         return cls(float(exponent), vals, vecs)
 
-    def matrix(self, tolerance: float = DEFAULT_TOLERANCE) -> np.ndarray:
-        """Materialize S^exponent, treating eigenvalues under tolerance*max as zero."""
-        cutoff = tolerance * (self.eigenvalues[0] if self.eigenvalues.size else 0.0)
+    @property
+    def bounds(self) -> tuple[float, float]:
+        """The frame bounds (A, B): the extreme eigenvalues of S, clipped at zero."""
+        return float(self.eigenvalues[-1]), float(self.eigenvalues[0])
+
+    def matrix(self) -> np.ndarray:
+        """Materialize S^exponent, treating eigenvalues under DEFAULT_TOLERANCE*max as zero."""
+        cutoff = DEFAULT_TOLERANCE * (self.eigenvalues[0] if self.eigenvalues.size else 0.0)
         vals = np.where(self.eigenvalues > cutoff, self.eigenvalues, 0.0)
         if self.exponent < 0 and np.any(vals == 0.0):
             raise NotSpanning("negative power of a singular frame operator")
@@ -224,20 +244,7 @@ def frame_operator(system: VectorSystem) -> np.ndarray:
 
 def frame_bounds(system: VectorSystem) -> tuple[float, float]:
     """Extreme eigenvalues (A, B) of the frame operator, clipped at zero."""
-    return _operator_bounds(frame_operator(system))
-
-
-def _operator_bounds(s: np.ndarray) -> tuple[float, float]:
-    """Extreme eigenvalues (A, B) of the frame operator s, clipped at zero.
-
-    An s with an entry past the largest double (a column entry above about
-    1.3e154 squares to inf) has no eigenvalues LAPACK can compute; it is
-    refused with BadParameter.
-    """
-    if not np.all(np.isfinite(s)):
-        raise BadParameter("frame operator S = F F^* has an entry that is not a finite double")
-    vals = np.linalg.eigvalsh(s)
-    return float(max(vals[0], 0.0)), float(max(vals[-1], 0.0))
+    return OperatorPower.compute(system, 1.0).bounds
 
 
 def frame_report(system: VectorSystem, tolerance: float = DEFAULT_TOLERANCE) -> FrameReport:
@@ -255,9 +262,8 @@ def _frame_report(
     """frame_report, for the frame bounds (A, B) of system, both at least zero.
 
     Each caller passes the bounds of the factorization it already holds: the
-    extreme eigenvalues of a frame operator S it formed (_operator_bounds), or
-    the squared extreme singular values of the columns, which `analyze` reads
-    off basis_metrics without forming S.
+    bounds of an OperatorPower of S, or the squared extreme singular values of
+    the columns, which `analyze` reads off basis_metrics without forming S.
     """
     if tolerance <= 0:
         raise BadParameter("tolerance must be positive")
@@ -274,9 +280,7 @@ def _frame_report(
     )
 
 
-def power_transform(
-    system: VectorSystem, exponent: float, tolerance: float = DEFAULT_TOLERANCE
-) -> VectorSystem:
+def power_transform(system: VectorSystem, exponent: float) -> VectorSystem:
     """Map each vector f_i to S^((exponent-1)/2) f_i.
 
     The output is again a frame whose frame operator is S^exponent.  Exponent 1
@@ -286,14 +290,12 @@ def power_transform(
     """
     if exponent == 1:
         return system
-    return _apply_power(system, OperatorPower.compute(system, (exponent - 1) / 2.0), tolerance)
+    return _apply_power(system, OperatorPower.compute(system, (exponent - 1) / 2.0))
 
 
-def _apply_power(
-    system: VectorSystem, power: OperatorPower, tolerance: float = DEFAULT_TOLERANCE
-) -> VectorSystem:
+def _apply_power(system: VectorSystem, power: OperatorPower) -> VectorSystem:
     """Map each vector f_i to S^power.exponent f_i, with S's spectral data in power."""
-    return VectorSystem(power.matrix(tolerance) @ _arithmetic(system.columns), system.labels)
+    return VectorSystem(power.matrix() @ _arithmetic(system.columns), system.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,9 +307,7 @@ class DualReconstruction:
     parseval_scalar: float
 
 
-def canonical_dual_reconstruct(
-    system: VectorSystem, f, tolerance: float = DEFAULT_TOLERANCE
-) -> DualReconstruction:
+def canonical_dual_reconstruct(system: VectorSystem, f) -> DualReconstruction:
     """Expand f through the canonical dual: c_i = <S^-1 f, f_i>.
 
     Returns the coefficients, the reconstruction sum_i c_i f_i (equal to f up
@@ -318,7 +318,7 @@ def canonical_dual_reconstruct(
     vec = np.asarray(f, dtype=np.complex128).reshape(-1)
     if vec.shape[0] != system.dim:
         raise DimensionMismatch(f"expected a dim-{system.dim} vector, got {vec.shape[0]}")
-    return _dual_reconstruct(system, OperatorPower.compute(system, -1.0).matrix(tolerance), vec)
+    return _dual_reconstruct(system, OperatorPower.compute(system, -1.0).matrix(), vec)
 
 
 def _dual_reconstruct(
@@ -344,18 +344,14 @@ class CountingSlacks:
     cardinality_slack: float
 
 
-def check_counting_lemmas(
-    system: VectorSystem, tolerance: float = DEFAULT_TOLERANCE
-) -> CountingSlacks:
+def check_counting_lemmas(system: VectorSystem) -> CountingSlacks:
     """Evaluate both counting inequalities relating dim, count, bounds and norms."""
-    return _counting_slacks(system, frame_operator(system), tolerance)
+    return _counting_slacks(system, frame_bounds(system))
 
 
-def _counting_slacks(
-    system: VectorSystem, s: np.ndarray, tolerance: float = DEFAULT_TOLERANCE
-) -> CountingSlacks:
-    """check_counting_lemmas, for the frame operator s of system already formed."""
-    report = _frame_report(system, _operator_bounds(s), tolerance)
+def _counting_slacks(system: VectorSystem, bounds: tuple[float, float]) -> CountingSlacks:
+    """check_counting_lemmas, for the frame bounds (A, B) of system already computed."""
+    report = _frame_report(system, bounds, DEFAULT_TOLERANCE)
     if not report.is_spanning:
         raise NotSpanning("dimension inequality needs a spanning system")
     if report.min_norm <= 0.0:

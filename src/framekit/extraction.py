@@ -67,7 +67,7 @@ class BoundCertificate:
     """Pieces of the explicit dimension-free Riesz-constant certificate."""
 
     b: float
-    rounds: int
+    rounds: int | float  # math.inf when 1 - b rounds to 1
     r: float
     a: float
     value: float
@@ -88,6 +88,8 @@ def bound_certificate(
     b = c d^2 / L^2; rounds m is the smallest integer with (1-b)^(m-1) <= eps
     (m = 1 once b >= 1); r = max(2, 1 + 2L/(c d)) + 1; a = r^-(m+1) / 2; the
     certificate is max(L, (r - 1) / (L a)), returned as infinity on overflow.
+    A b so small that 1 - b rounds to 1 gives m = infinity, a = 0 and an
+    infinite certificate.
     """
     _check_eps_c(eps, c)
     if not 0.0 < separation <= 1.0:
@@ -95,14 +97,18 @@ def bound_certificate(
     if hilbertian < 1.0:
         raise BadParameter("hilbertian constant must be at least 1")
     b = c * separation**2 / hilbertian**2
+    r = max(2.0, 1.0 + 2.0 * hilbertian / (c * separation)) + 1.0
     if b >= 1.0:
         rounds = 1
+    elif 1.0 - b == 1.0:
+        # b below about 1.1e-16: (1 - b)^m rounds to 1 for every m, so no
+        # number of rounds reaches eps in doubles and the certificate is unbounded
+        return BoundCertificate(b, math.inf, r, 0.0, math.inf)
     else:
         ratio = math.log(eps) / math.log(1.0 - b)
         if abs(ratio - round(ratio)) < 1e-9:
             ratio = round(ratio)
         rounds = 1 + max(1, math.ceil(ratio))
-    r = max(2.0, 1.0 + 2.0 * hilbertian / (c * separation)) + 1.0
     try:
         a = r ** (-(rounds + 1)) / 2.0
     except OverflowError:
@@ -196,25 +202,26 @@ def _peel(system: VectorSystem, mode: str, parameters: dict) -> ExtractionTrace:
     )
 
 
-def extract_biorthogonal(
-    system: VectorSystem,
-    eps: float,
-    c: float = 0.1,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> ExtractionTrace:
+def extract_biorthogonal(system: VectorSystem, eps: float, c: float = 0.1) -> ExtractionTrace:
     """Peel a linearly independent, separated system down to a certified subset.
 
     Round one selects among the raw vectors; later rounds select among the
     normalized projected residuals.  Stops once at least ceil((1 - eps) * m)
     indices are covered, m being the vector count (the span dimension for an
     independent family).  Raises NotSeparated when the separation constant is
-    at or below tolerance.
+    at or below DEFAULT_TOLERANCE, and BadParameter when sigma_max^2 is not a
+    finite double.
     """
     _check_eps_c(eps, c)
     m = system.count
     separation, hilbertian = separation_and_norm(system)
-    if separation <= tolerance:
+    if separation <= DEFAULT_TOLERANCE:
         raise NotSeparated(f"separation {separation:.3e} is at or below tolerance")
+    # a Python float product past the largest double is inf, where ** raises OverflowError
+    if not math.isfinite(hilbertian * hilbertian):
+        raise BadParameter(
+            f"upper frame bound sigma_max^2 is not a finite double (sigma_max = {hilbertian!r})"
+        )
     certificate = theoretical_bound(eps, min(separation, 1.0), max(hilbertian, 1.0), c)
     parameters = {
         "eps": eps,
@@ -223,7 +230,7 @@ def extract_biorthogonal(
         "hilbertian": hilbertian,
         "target": coverage_target(m, eps),
         "total": m,
-        "tolerance": tolerance,
+        "tolerance": DEFAULT_TOLERANCE,
         "theoretical_bound": certificate,
     }
     return _peel(system, "biorthogonal", parameters)
@@ -239,7 +246,6 @@ def extract_frame(
     eps: float,
     c: float = 0.1,
     delta_override: float | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> ExtractionTrace:
     """Peel a spanning frame down to a certified subset of size >= ceil((1 - eps) n).
 
@@ -250,7 +256,7 @@ def extract_frame(
     bound anyway.
     """
     _check_eps_c(eps, c)
-    report = frame_report(system, tolerance)
+    report = frame_report(system)
     if not report.is_spanning:
         raise NotSpanning("frame extraction needs a spanning system")
     if report.min_norm <= 0.0:
@@ -278,6 +284,6 @@ def extract_frame(
         "max_norm": beta,
         "target": coverage_target(n, eps),
         "total": n,
-        "tolerance": tolerance,
+        "tolerance": DEFAULT_TOLERANCE,
     }
     return _peel(system, "frame", parameters)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VectorSystem, _column_norms, frame_operator
+from .core import OperatorPower, VectorSystem, _column_norms, frame_operator
 from .errors import BadParameter, EmptyInput, NotFlat, QuadratureFailure
 from .metrics import schauder_basis_constant, smallest_singular_value
 
@@ -265,19 +265,20 @@ def find_flat_vector(system: VectorSystem, budget: float) -> np.ndarray:
     """Unit vector whose analysis mass sum_i |<h, f_i>|^2 is at most the budget.
 
     The minimizer over unit vectors is the bottom eigenvector of the frame
-    operator; raises NotFlat (carrying the achieved mass) when even that
-    exceeds the budget, in which case callers enlarge the system and retry.
+    operator, read off its OperatorPower; raises NotFlat (carrying the
+    achieved mass) when even that exceeds the budget, in which case callers
+    enlarge the system and retry.
     The vector is complex128 even when the frame operator is real.
     """
     if budget <= 0.0:
         raise BadParameter("budget must be positive")
-    vals, vecs = np.linalg.eigh(frame_operator(system))
-    achieved = float(max(vals[0], 0.0))
+    power = OperatorPower._of_operator(frame_operator(system), 1.0)
+    achieved = power.bounds[0]
     if achieved > budget:
         raise NotFlat(
             f"best analysis mass {achieved:.6g} exceeds budget {budget:.6g}", achieved
         )
-    return vecs[:, 0].astype(np.complex128)
+    return power.eigenvectors[:, -1].astype(np.complex128)
 
 
 def block_diag(*arrays: np.ndarray) -> np.ndarray:

@@ -98,7 +98,11 @@ def _separation(r: np.ndarray | None) -> tuple[float, np.ndarray | None]:
     import scipy.linalg
 
     r_inv = scipy.linalg.solve_triangular(r, np.eye(r.shape[0], dtype=r.dtype))
-    return float(1.0 / np.linalg.norm(r_inv, axis=1).max()), r_inv
+    # a row of R^-1 below about 1e-162 has a norm that squares to 0: its distance
+    # is then past sqrt(DBL_MAX), and so is sigma_max, which analyze and
+    # extract refuse; the separation reads inf without a warning
+    with np.errstate(divide="ignore"):
+        return float(1.0 / np.linalg.norm(r_inv, axis=1).max()), r_inv
 
 
 def _schauder(r: np.ndarray | None, r_inv: np.ndarray | None) -> float:

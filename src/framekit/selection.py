@@ -224,6 +224,8 @@ def select_greedy(
     cols = _validated_columns(system, normalize)
     re, im = cols.real, cols.imag
     sq_norms = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
+    if not np.all(np.isfinite(sq_norms)):
+        raise BadParameter("a squared column norm is not a finite double")
     real = _is_real(cols)
     chosen, _ = _greedy(lambda j: cols[:, j].conj() @ cols, sq_norms, target_size, None, real)
     bound = smallest_singular_value(cols[:, chosen])
@@ -253,6 +255,8 @@ def select_exhaustive(
         )
     cols = _validated_columns(system, normalize)
     g = gram(cols)
+    if not np.all(np.isfinite(np.diagonal(g))):
+        raise BadParameter("a squared column norm is not a finite double")
     combos = itertools.combinations(range(m), target_size)
     lams = np.fromiter((_min_eig(g, list(combo)) for combo in combos), float, n_subsets)
     # combinations come in lexicographic order, so the first tied subset wins

@@ -683,6 +683,101 @@ def test_extract_diagnoses_a_frame_operator_past_the_largest_double(tmp_path, ca
     assert not trace.exists()
 
 
+# a one-vector system with the complex entry 1e300 + 0.06i, drawn by the fuzz test
+DRAWN_OVERFLOW_TEXT = (
+    '{"v": 1, "dim": 3, "count": 1, "columns": [[1e+300, 0.06261587751175876], '
+    "[-0.16519016568439276, -0.2257110813270981], "
+    "[-0.16796939015046086, 0.2969227725915538]]}"
+)
+
+
+def test_biorthogonal_extract_refuses_a_frame_bound_past_the_largest_double(tmp_path, capsys):
+    path, trace = tmp_path / "system.json", tmp_path / "trace.json"
+    path.write_text(DRAWN_OVERFLOW_TEXT)
+    argv = ("extract", "--in", str(path), "--mode", "biorthogonal", "--eps", "0.25")
+    code, out, err = run_cli(capsys, *argv, "--out", str(trace))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "BadParameter",
+        "message": "upper frame bound sigma_max^2 is not a finite double (sigma_max = 1e+300)",
+    }
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("method", ["greedy", "exhaustive"])
+def test_select_refuses_a_squared_column_norm_past_the_largest_double(tmp_path, capsys, method):
+    path = tmp_path / "system.json"
+    ser.save_system(overflowing_system(), path)
+    code, out, err = run_cli(capsys, "select", "--in", str(path), "--size", "2", "--method", method)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "BadParameter",
+        "message": "a squared column norm is not a finite double",
+    }
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("analyze",),
+        ("extract", "--mode", "frame", "--eps", "0.25"),
+        ("extract", "--mode", "biorthogonal", "--eps", "0.25"),
+        ("select", "--method", "greedy", "--size", "1"),
+        ("select", "--method", "exhaustive", "--size", "1"),
+        ("verify-lemmas",),
+    ],
+    ids=lambda command: "-".join(a for a in command if a[0] != "-" and a[0] not in "0123456789"),
+)
+@pytest.mark.parametrize("drawn", [True, False], ids=["drawn-3x1", "overflowing-3x4"])
+def test_an_overflowing_system_gets_one_diagnostic_line_and_no_warning(
+    tmp_path, capsys, command, drawn
+):
+    path = tmp_path / "system.json"
+    if drawn:
+        path.write_text(DRAWN_OVERFLOW_TEXT)
+    else:
+        ser.save_system(overflowing_system(), path)
+    argv = [*command, "--in", str(path)]
+    if command[0] == "extract":
+        argv += ["--out", str(tmp_path / "trace.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert set(json.loads(err)) == {"error", "message"}
+
+
+def test_biorthogonal_extract_of_a_thin_basis_certifies_infinity(tmp_path, capsys):
+    # b = c d^2 / L^2 is about 2.5e-20, so 1 - b rounds to 1 and no round count reaches eps
+    path, trace = tmp_path / "system.json", tmp_path / "trace.json"
+    ser.save_system(fk.VectorSystem(np.array([[1.0, 1.0], [0.0, 1e-9]])), path)
+    argv = ("extract", "--in", str(path), "--mode", "biorthogonal", "--eps", "0.25")
+    code, out, err = run_cli(capsys, *argv, "--out", str(trace))
+    assert (code, err) == (0, "")
+    summary = json.loads(out)
+    assert (summary["subset_size"], summary["stop_reason"]) == (2, "coverage_reached")
+    assert summary["riesz_constant"] == pytest.approx(1414213562.37)
+    assert json.loads(trace.read_text())["parameters"]["theoretical_bound"] == "inf"
+
+
+@pytest.mark.parametrize("canonical,factored", [(False, 1), (True, 2)])
+def test_verify_lemmas_factors_each_frame_operator_exactly_once(
+    tmp_path, capsys, factorization_shapes, canonical, factored
+):
+    # one eigh of S gives the counting bounds and S^-1; --canonical adds the one
+    # eigh of the transformed system's frame operator behind its tightness check
+    system = fk.generate(fk.GallerySpec("prop53Truncation", {"M": 2, "epsilons": [0.2, 0.2]}))
+    assert (system.dim, system.count) == (165, 332)
+    path = tmp_path / "system.json"
+    ser.save_system(system, path)
+    factorization_shapes.clear()
+    flags = ("--canonical",) if canonical else ()
+    code, _, err = run_cli(capsys, "verify-lemmas", "--in", str(path), *flags)
+    assert (code, err) == (0, "")
+    assert factorization_shapes == [(165, 165)] * factored
+
+
 @pytest.mark.parametrize("sign", ["true", "false"])
 def test_gen_refuses_a_flag_for_the_sign(tmp_path, capsys, sign):
     spec = f'{{"kind": "weightedExponentials", "a": 0.25, "N": 3, "sign": {sign}}}'

@@ -52,6 +52,13 @@ def test_certificate_overflows_to_infinity():
     assert fk.theoretical_bound(0.1, 0.01, 2.0, 0.1) == math.inf
 
 
+def test_certificate_is_infinite_once_one_minus_b_rounds_to_one():
+    # b = 0.1 * 1e-18 / 1 = 1e-19: log(1 - b) is 0, so no finite round count exists
+    cert = fk.bound_certificate(0.25, 1e-9, 1.0, 0.1)
+    assert cert.b == pytest.approx(1e-19)
+    assert (cert.rounds, cert.a, cert.value) == (math.inf, 0.0, math.inf)
+
+
 def test_certificate_bad_parameters():
     with pytest.raises(BadParameter):
         fk.theoretical_bound(0.0, 1.0, 1.0, 0.5)

@@ -138,6 +138,16 @@ def test_flat_vector_budget_one_succeeds():
     assert mass <= 1.0
 
 
+# the per-copy budget eps / k of lemma52_block(2, 0.3), and that of the m = 3
+# layer of prop53_truncation(2, [0.2, 0.2])
+@pytest.mark.parametrize("budget", [0.3 / 2, 0.2 / 3], ids=["lemma52Block", "prop53Truncation"])
+def test_flat_vector_keeps_the_bits_of_the_bottom_eigh_column(budget):
+    block = gallery._flat_conditional_basis(budget, 0.45, 8)
+    reference = np.linalg.eigh(fk.frame_operator(block.system))[1][:, 0].astype(np.complex128)
+    assert fk.find_flat_vector(block.system, budget).tobytes() == reference.tobytes()
+    assert block.flat_vector.tobytes() == reference.tobytes()
+
+
 def test_flat_mass_improves_with_size():
     def mass_at(big_n):
         vs = fk.weighted_exponentials(0.25, big_n, "+")
