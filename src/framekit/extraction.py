@@ -1,12 +1,15 @@
 """Subset extraction with a directly certified Riesz constant.
 
-Two peeling loops share one engine.  Each round projects off the span of
-everything selected so far, then greedily selects among the projected
-residuals (normalized from round two onward) a subset whose smallest singular
-value stays above c times the current residual floor.  A round never takes
-more than what is still needed to reach coverage ceil((1 - eps) * n): the
-certified conditioning of the final subset then depends on eps and the frame
-data but not on the dimension, which is the whole point.
+Two peeling loops share one engine.  Each round greedily selects among the
+residuals of the unselected vectors in the complement of span(selected)
+(normalized from round two onward) a subset whose smallest singular value
+stays above c times the current residual floor.  The residuals are carried
+as coordinates in an orthonormal basis of that complement, which each round
+deflates by the previous round's picks, so a round at coverage k factors
+(n - k)-row arrays only.  A round never takes more than what is still
+needed to reach coverage ceil((1 - eps) * n): the certified conditioning of
+the final subset then depends on eps and the frame data but not on the
+dimension, which is the whole point.
 
 The biorthogonal variant runs on linearly independent systems with positive
 separation; the frame variant runs on spanning systems and additionally gates
@@ -128,28 +131,38 @@ def theoretical_bound(eps: float, separation: float, hilbertian: float, c: float
 def _peel(system: VectorSystem, mode: str, parameters: dict) -> ExtractionTrace:
     """Shared peeling engine, driven by the parameters it records in the trace.
 
+    resid holds the unselected columns as coordinates in an orthonormal basis
+    of the complement of span(selected); round one reads the columns
+    themselves.  Each later round deflates by the previous round's p picks
+    (Householder deflation, Golub-Van Loan 5.2): the last columns Q[:, p:] of
+    one complete QR of their residual columns are an orthonormal basis of the
+    complement of the picks, and resid <- Q[:, p:]^H resid[:, kept].  A change
+    of orthonormal basis keeps norms, Gram and operator norm, so they are
+    those of the full-dimension projected residuals up to roundoff, and a
+    round at coverage k costs O((n - k)^3 + (n - k) m^2), not O(n^3 + n m^2).
+
     Frame mode (parameters carry "delta") examines only residuals of norm at
     least delta and stops once too few of them remain.
     """
     eps, c, target, total = (parameters[k] for k in ("eps", "c", "target", "total"))
     delta = parameters.get("delta")
-    cols = system.columns
+    remaining = np.arange(system.count)
+    resid = system.columns
+    picked = np.arange(0)  # positions in resid of the previous round's picks
     selected: list[int] = []
     rounds: list[ExtractionRound] = []
     for index in range(1, ROUND_CAP + 1):
         if len(selected) >= target:
             stop_reason = "coverage_reached"
             break
-        taken = set(selected)
-        remaining = [i for i in range(system.count) if i not in taken]
-        # one C-order copy: cols[:, remaining] would be an F-order one, whose
-        # column norms below sum in another order and change the trace's bits
-        resid = cols.take(remaining, axis=1)
-        if selected:
-            q = np.linalg.qr(cols[:, selected])[0]
-            resid -= q @ (q.conj().T @ resid)
+        if picked.size:
+            q = np.linalg.qr(resid[:, picked], mode="complete")[0]
+            kept = np.ones(remaining.size, dtype=bool)
+            kept[picked] = False
+            resid = q[:, picked.size:].conj().T @ resid[:, kept]
+            remaining = remaining[kept]
         norms = np.linalg.norm(resid, axis=0)
-        pool = np.arange(len(remaining))
+        pool = np.arange(remaining.size)
         rule2 = None
         if delta is not None:
             pool = np.flatnonzero(norms >= delta * (1.0 - 1e-12))
@@ -172,12 +185,13 @@ def _peel(system: VectorSystem, mode: str, parameters: dict) -> ExtractionTrace:
                 raise GuaranteeEmpty(
                     f"round {index}: guarantee size {guarantee} and no certifiable pick"
                 )
-            chosen, bound = tuple(remaining[pool[j]] for j in order), float(bounds[-1])
+            picked = pool[order]
+            chosen, bound = tuple(remaining[picked].tolist()), float(bounds[-1])
             selected.extend(chosen)
         rounds.append(
             ExtractionRound(
                 index=index,
-                examined=tuple(remaining),
+                examined=tuple(remaining.tolist()),
                 residual_norms=tuple(float(x) for x in norms),
                 selected=chosen,
                 certified_bound=bound,

@@ -272,7 +272,11 @@ def find_flat_vector(system: VectorSystem, budget: float) -> np.ndarray:
     """
     if budget <= 0.0:
         raise BadParameter("budget must be positive")
-    power = OperatorPower._of_operator(frame_operator(system), 1.0)
+    return _bottom_vector(OperatorPower._of_operator(frame_operator(system), 1.0), budget)
+
+
+def _bottom_vector(power: OperatorPower, budget: float) -> np.ndarray:
+    """find_flat_vector, for the OperatorPower of the frame operator already factored."""
     achieved = power.bounds[0]
     if achieved > budget:
         raise NotFlat(
@@ -325,22 +329,34 @@ class FlatBlock:
     flat_mass: float
 
 
-def _flat_conditional_basis(budget: float, a: float, start_frequency: int) -> FlatBlock:
-    """Grow the Hilbertian-side weighted exponential family until it admits a flat vector."""
+def _flat_conditional_basis(
+    budget: float, a: float, start_frequency: int, ladder: dict | None = None
+) -> FlatBlock:
+    """Grow the Hilbertian-side weighted exponential family until it admits a flat vector.
+
+    ladder maps each max frequency tried to its family, frame operator S and
+    the OperatorPower of S; builds that search several budgets pass one
+    ladder, so each frequency is built and factored once.  The flat mass is
+    read off the same S.
+    """
+    if budget <= 0.0:
+        raise BadParameter("budget must be positive")
+    ladder = {} if ladder is None else ladder
     max_frequency = start_frequency
     while True:
-        system = weighted_exponentials(a, max_frequency, +1, normalized=True)
+        if max_frequency not in ladder:
+            system = weighted_exponentials(a, max_frequency, +1, normalized=True)
+            s = frame_operator(system)
+            ladder[max_frequency] = system, s, OperatorPower._of_operator(s, 1.0)
+        system, s, power = ladder[max_frequency]
         try:
-            flat = find_flat_vector(system, budget)
+            flat = _bottom_vector(power, budget)
         except NotFlat:
             if 2 * max_frequency + 1 > FLAT_SIZE_CAP:
                 raise
             max_frequency = max(1, 2 * max_frequency)
             continue
-        mass = float(
-            np.real(np.vdot(flat, frame_operator(system) @ flat))
-        )
-        return FlatBlock(system, flat, mass)
+        return FlatBlock(system, flat, float(np.real(np.vdot(flat, s @ flat))))
 
 
 def lemma52_block(
@@ -428,12 +444,14 @@ def build_prop53_truncation(
     flat_bases: list[np.ndarray] = []
     masses: list[float] = []
     ms = range(2, depth + 2)
+    ladder: dict = {}
     for m, eps in zip(ms, eps_list):
-        flat = _flat_conditional_basis(eps / m, a, start_frequency)
+        flat = _flat_conditional_basis(eps / m, a, start_frequency, ladder)
         flat_basis = block_diag(*[flat.flat_vector[:, None]] * m)
         layers.append(_prop53_layer(flat, m, flat_basis))
         flat_bases.append(flat_basis)
         masses.append(flat.flat_mass)
+    del ladder  # its families and factors are not held while the layers are assembled
     cols, labels = _block_columns(layers)
     # keep only the layer counts, so the layers' columns are freed before normalizing
     ends = list(itertools.accumulate(layer.count for layer in layers))

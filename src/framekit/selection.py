@@ -116,11 +116,12 @@ def _bordered_min_eigs(
     bracket tops; the caller still certifies the winner with eigvalsh.
 
     rows may be float64 (a real pool) or complex128; the ranking runs in the
-    arithmetic of rows.
+    arithmetic of rows.  Before the first pick every index is a candidate, and
+    diag itself is returned.
     """
-    d = diag[candidates]
     if not chosen:
-        return d
+        return diag
+    d = diag[candidates]
     mu, u = np.linalg.eigh(rows[:, chosen])
     hi = np.minimum(mu[0], d)
     if mu[0] <= 0.5 * TIE_RTOL * scale:
@@ -158,6 +159,20 @@ def _secular_start(mu_0: float, d: np.ndarray, sq_norms: np.ndarray) -> np.ndarr
     return np.minimum(mu_0, d) - drop
 
 
+def _gram_unit(top: float) -> float:
+    """The even power of two s in which _greedy ranks a Gram of max diagonal top.
+
+    s is exactly 1.0 while top lies in [2^-500, 2^500] (and for a zero or
+    non-finite top), so such pools keep their bits.  Past that range top / s
+    lies in [1, 4), so the squares |z|^2 of the ranking neither overflow nor
+    underflow near the top, and sqrt(s) is a power of two, so bounds scale
+    back without rounding.
+    """
+    if top == 0.0 or 2.0**-500 <= top <= 2.0**500 or not math.isfinite(top):
+        return 1.0
+    return math.ldexp(1.0, 2 * ((math.frexp(top)[1] - 1) // 2))
+
+
 def _greedy(row, diag: np.ndarray, limit: int, stop_below: float | None, real: bool):
     """The greedy loop of greedy_order, reading the Gram only through row.
 
@@ -167,6 +182,10 @@ def _greedy(row, diag: np.ndarray, limit: int, stop_below: float | None, real: b
     When real (the pool has no nonzero imaginary part), candidates are ranked
     in float64 off the real parts of those rows; the winner is always
     certified with eigvalsh of the complex128 rows.
+
+    Ranking and certification run in units of s = _gram_unit(max diag): the
+    rows are divided by s as they are stored, and each bound is multiplied
+    back by sqrt(s).
     """
     m = diag.shape[0]
     limit = min(limit, m)
@@ -175,18 +194,23 @@ def _greedy(row, diag: np.ndarray, limit: int, stop_below: float | None, real: b
     bounds: list[float] = []
     rows = np.empty((limit, m), dtype=np.complex128)
     ranking = rows.real if real else rows
-    scale = float(np.max(diag, initial=0.0))
+    top = float(np.max(diag, initial=0.0))
+    unit = _gram_unit(top)
+    root, scale, diag = math.sqrt(unit), top / unit, diag / unit
     while len(chosen) < limit:
         k = len(chosen)
         candidates = np.flatnonzero(~taken)
         lams = _bordered_min_eigs(ranking[:k], chosen, candidates, diag, scale)
         pick = _first_tie(lams, scale)
         best_j = int(candidates[pick])
-        rows[k] = row(best_j)
+        # part by part: complex division by unit + 0j turns -0.0 into 0.0 and inf into nan
+        new = row(best_j)
+        np.divide(new.real, unit, out=rows[k].real)
+        np.divide(new.imag, unit, out=rows[k].imag)
         picked = chosen + [best_j]
         # the eigenvalue of a 1x1 block is its diagonal entry, exactly as eigvalsh gives it
         lam = float(np.linalg.eigvalsh(rows[: k + 1][:, picked])[0]) if chosen else lams[pick]
-        bound = math.sqrt(max(lam, 0.0))
+        bound = math.sqrt(max(lam, 0.0)) * root
         if stop_below is not None and bound < stop_below:
             break
         chosen = picked

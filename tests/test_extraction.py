@@ -392,3 +392,148 @@ def test_engine_single_round_traces_are_byte_identical(build, eps):
     assert len(new.rounds) == 1
     old = old_engine_trace(system, new)
     assert ser.dumps(ser.trace_to_json(new)) == ser.dumps(ser.trace_to_json(old))
+
+
+# ---------------------------------------------------------------------------
+# parity of the deflated engine with the full-dimension projection engine
+
+
+def projection_peel(system, mode, parameters):
+    """The peeling engine before deflation: each round QRs every selected
+    column and projects the remaining columns off their span, in C^n."""
+    from framekit.errors import GuaranteeEmpty
+    from framekit.metrics import _operator_norm
+    from framekit.selection import bt_guarantee_size, greedy_order
+
+    eps, c, target, total = (parameters[k] for k in ("eps", "c", "target", "total"))
+    delta = parameters.get("delta")
+    cols = system.columns
+    selected = []
+    rounds = []
+    for index in range(1, fk.extraction.ROUND_CAP + 1):
+        if len(selected) >= target:
+            stop_reason = "coverage_reached"
+            break
+        taken = set(selected)
+        remaining = [i for i in range(system.count) if i not in taken]
+        resid = cols.take(remaining, axis=1)
+        if selected:
+            q = np.linalg.qr(cols[:, selected])[0]
+            resid -= q @ (q.conj().T @ resid)
+        norms = np.linalg.norm(resid, axis=0)
+        pool = np.arange(len(remaining))
+        rule2 = None
+        if delta is not None:
+            pool = np.flatnonzero(norms >= delta * (1.0 - 1e-12))
+            coeff = c / parameters["upper_bound"] ** 2
+            rule2 = float(coeff * total + (index - 1) * (coeff / delta**2) * (eps / 2.0) * total)
+        chosen, bound, guarantee, normalized = (), 0.0, 0, False
+        if delta is not None and len(pool) <= eps * total / 2.0 + 1e-9:
+            stop_reason = "residual_set_small"
+        else:
+            work = resid[:, pool]
+            floor = float(np.min(norms[pool]))
+            if selected:
+                work, floor, normalized = work / norms[pool], 1.0, True
+            if floor <= 0.0:
+                raise GuaranteeEmpty("all residuals vanished before reaching coverage")
+            guarantee = bt_guarantee_size(len(pool), _operator_norm(work), c)
+            order, bounds = greedy_order(
+                fk.core.gram(work), target - len(selected), stop_below=c * floor
+            )
+            if not order:
+                raise GuaranteeEmpty(f"round {index}: no certifiable pick")
+            chosen, bound = tuple(remaining[pool[j]] for j in order), float(bounds[-1])
+            selected.extend(chosen)
+        rounds.append(
+            fk.ExtractionRound(
+                index, tuple(remaining), tuple(float(x) for x in norms), chosen, bound,
+                guarantee, normalized, len(selected) / total, rule2,
+            )
+        )
+        if not chosen:
+            break
+    final = tuple(sorted(selected))
+    return fk.ExtractionTrace(
+        mode, tuple(rounds), final, fk.riesz_constant(system.subsystem(final)), stop_reason,
+        parameters,
+    )
+
+
+def deflation_cases():
+    """32 multi-round extractions; prop53Truncation spans with count > dim, so
+    only frame mode applies to it."""
+    cases = []
+    for n, seeds in ((64, range(6)), (96, range(4)), (192, range(2))):
+        for seed in seeds:
+            for c in (0.5, 0.8):
+                build = lambda n=n, seed=seed: fk.random_frame(n, 2 * n, seed, 1e4)
+                cases.append(pytest.param(build, "frame", 0.25, c, id=f"random-{n}-{seed}-c{c}"))
+    cases.append(pytest.param(lambda: fk.lemma51(60), "frame", 0.25, 0.8, id="lemma51-60"))
+    cases.append(pytest.param(
+        lambda: fk.prop53_truncation(2, [0.2, 0.2]), "frame", 0.01, 0.99, id="prop53Truncation"
+    ))
+    bases = {
+        "lemma52Block": lambda: fk.lemma52_block(2, 0.3),
+        "weightedExponentials+": lambda: fk.weighted_exponentials(0.25, 16, "+"),
+        "weightedExponentials-": lambda: fk.weighted_exponentials(0.25, 16, "-"),
+    }
+    for name, build in bases.items():
+        for mode in ("frame", "biorthogonal"):
+            cases.append(pytest.param(build, mode, 0.1, 0.9, id=f"{name}-{mode}"))
+    return cases
+
+
+@pytest.mark.parametrize("build,mode,eps,c", deflation_cases())
+def test_deflated_engine_matches_projection_engine(build, mode, eps, c):
+    from framekit import serialization as ser
+
+    system = build()
+    extract = fk.extract_frame if mode == "frame" else fk.extract_biorthogonal
+    new = extract(system, eps, c)
+    old = projection_peel(system, mode, new.parameters)
+    assert len(new.rounds) >= 2
+    assert len(new.rounds) == len(old.rounds)
+    for a, b in zip(new.rounds, old.rounds):
+        assert (a.index, a.examined, a.selected, a.bt_target) == (
+            b.index, b.examined, b.selected, b.bt_target
+        )
+        assert (a.normalized, a.coverage, a.rule2_lower_bound) == (
+            b.normalized, b.coverage, b.rule2_lower_bound
+        )
+        np.testing.assert_allclose(a.residual_norms, b.residual_norms, rtol=0, atol=1e-12)
+        assert abs(a.certified_bound - b.certified_bound) <= 1e-12
+    assert (new.stop_reason, new.final_subset, new.final_riesz_constant) == (
+        old.stop_reason, old.final_subset, old.final_riesz_constant
+    )
+    round_one = [ser.dumps(ser.trace_to_json(t)["rounds"][0]) for t in (new, old)]
+    assert round_one[0] == round_one[1]
+
+
+def test_each_round_factors_only_the_uncovered_complement(factorization_shapes, monkeypatch):
+    system = fk.random_frame(64, 128, 3, 1e4)
+    norm_at, complete_qrs = [], []
+
+    def operator_norm(mat, _original=fk.extraction._operator_norm):
+        norm_at.append(len(factorization_shapes))
+        return _original(mat)
+
+    def qr(a, mode="reduced", _original=np.linalg.qr):
+        if mode == "complete":
+            complete_qrs.append((len(factorization_shapes), np.shape(a)))
+        return _original(a, mode=mode)
+
+    monkeypatch.setattr(fk.extraction, "_operator_norm", operator_norm)
+    monkeypatch.setattr(np.linalg, "qr", qr)
+    factorization_shapes.clear()
+    trace = fk.extract_frame(system, 0.25, 0.8)
+    picks = [len(r.selected) for r in trace.rounds]
+    before = [sum(picks[:r]) for r in range(len(picks))]
+    assert len(trace.rounds) > 2 and len(norm_at) == len(trace.rounds)
+    # the operator norm's one eigvalsh is of the (64 - k)-square Gram of the complement
+    assert [factorization_shapes[at] for at in norm_at] == [(64 - k, 64 - k) for k in before]
+    # one complete QR of the previous round's picks opens every later round
+    assert [shape for _, shape in complete_qrs] == [
+        (64 - k, p) for k, p in zip(before[:-1], picks[:-1])
+    ]
+    assert all(a < at < b for (at, _), a, b in zip(complete_qrs, norm_at, norm_at[1:]))

@@ -428,6 +428,23 @@ def test_flat_search_from_frequency_zero_terminates():
 
 
 @pytest.mark.parametrize(
+    "epsilons,dims",
+    [([0.1, 0.05], [17, 33, 65, 129, 257]), ([0.2, 0.2], [17, 33])],
+    ids=["0.1,0.05", "0.2,0.2"],
+)
+def test_prop53_build_forms_each_flat_block_frequency_once(monkeypatch, epsilons, dims):
+    formed = []
+
+    def counted(system, _original=gallery.frame_operator):
+        formed.append(system.dim)
+        return _original(system)
+
+    monkeypatch.setattr(gallery, "frame_operator", counted)
+    fk.build_prop53_truncation(2, epsilons)
+    assert formed == dims
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda: fk.lemma52_block(1, True),

@@ -373,3 +373,29 @@ def test_greedy_ranks_at_the_root_where_the_start_would_overflow():
     result = fk.select_greedy(system, 2)
     assert result.subset == (0, 2)
     assert result.certified_lower_bound == pytest.approx(1e75)
+
+
+@pytest.mark.filterwarnings("error")
+def test_greedy_ranks_in_units_of_a_power_of_two_past_1e154():
+    # after a, the Gram entry <a, b> = 1.73e154 squares past the largest double;
+    # b is parallel to a and c is orthogonal to it, so (0, 2) certifies 1e77
+    cols = np.array([[1.73e77, 1e77, 0.0], [0.0, 0.0, 1e77]])
+    system = fk.VectorSystem(cols)
+    order, bounds = greedy_order(gram(system.columns), 2)
+    assert order == [0, 2]
+    assert bounds[1] == pytest.approx(1e77, rel=1e-15)
+    result = fk.select_greedy(system, 2)
+    assert result.subset == (0, 2)
+    assert result.certified_lower_bound == pytest.approx(1e77, rel=1e-15)
+
+
+@pytest.mark.parametrize("top", [2.0**-500, 1e-150, 1.0, 1e150, 2.0**500, 0.0])
+def test_gram_unit_is_one_inside_the_exact_range(top):
+    assert selection._gram_unit(top) == 1.0
+
+
+@pytest.mark.parametrize("top", [5e-324, 2.0**-501, 1e-160, 1.7e154, 2.0**501, 1.7e308])
+def test_gram_unit_brings_the_top_into_one_to_four(top):
+    unit = selection._gram_unit(top)
+    assert 1.0 <= top / unit < 4.0
+    assert math.sqrt(unit) ** 2 == unit  # an even power of two
