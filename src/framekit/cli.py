@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -27,10 +26,10 @@ from .core import (
     frame_report,
     random_unit_vector,
 )
-from .errors import BadParameter, FramekitError, SchemaError
+from .errors import FramekitError, SchemaError
 from .extraction import extract_biorthogonal, extract_frame
 from .gallery import exact_int, generate, real_number
-from .metrics import basis_metrics
+from .metrics import _upper_frame_bound, basis_metrics
 from .selection import select_exhaustive, select_greedy
 
 VERIFY_TOLERANCE = 1e-9
@@ -98,16 +97,7 @@ def _cmd_analyze(args) -> int:
     # B = sigma_max^2, and A = sigma_min^2 when count >= dim, else 0.  Squaring
     # sigma errs in A by eps*kappa, where eigvalsh of a formed S errs by eps*kappa^2.
     svals = metrics.singular_values
-    # a Python float squared past the largest double raises OverflowError; once
-    # sigma_max^2 is finite, so is sigma_min^2
-    try:
-        upper = svals[0] ** 2
-    except OverflowError:
-        upper = math.inf
-    if not math.isfinite(upper):
-        raise BadParameter(
-            f"upper frame bound sigma_max^2 is not a finite double (sigma_max = {svals[0]!r})"
-        )
+    upper = _upper_frame_bound(svals[0])  # once sigma_max^2 is finite, so is sigma_min^2
     lower = svals[-1] ** 2 if system.count >= system.dim else 0.0
     report = _frame_report(system, (lower, upper), DEFAULT_TOLERANCE)
     print(
@@ -123,12 +113,18 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _extract(system, mode: str, eps: float, c: float, delta: float | None):
+    """The extraction of the given mode; delta is read in frame mode only.
+
+    The two extract functions are looked up when this runs, not bound at import.
+    """
+    if mode == "biorthogonal":
+        return extract_biorthogonal(system, eps, c)
+    return extract_frame(system, eps, c, delta)
+
+
 def _cmd_extract(args) -> int:
-    system = ser.load_system(args.infile)
-    if args.mode == "biorthogonal":
-        trace = extract_biorthogonal(system, args.eps, args.c)
-    else:
-        trace = extract_frame(system, args.eps, args.c, args.delta)
+    trace = _extract(ser.load_system(args.infile), args.mode, args.eps, args.c, args.delta)
     ser.save_trace(trace, args.out)
     print(
         json.dumps(
@@ -245,12 +241,8 @@ def _sweep_rows(plan: dict):
         if doc.get("kind") == "randomFrame":
             doc.setdefault("seed", seed)
         system = generate(ser.gallery_spec_from_json(doc))
-        if mode == "biorthogonal":
-            trace = extract_biorthogonal(system, eps, c)
-            bound = trace.parameters.get("theoretical_bound")
-        else:
-            trace = extract_frame(system, eps, c, delta)
-            bound = None
+        trace = _extract(system, mode, eps, c, delta)
+        bound = trace.parameters.get("theoretical_bound")  # None in frame mode
         row = {
             "swept_name": name,
             "swept_value": value,
@@ -339,7 +331,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except FramekitError as exc:
+    except (FramekitError, np.linalg.LinAlgError) as exc:
         _diagnostic(type(exc).__name__, str(exc))
         return 2
     except OSError as exc:

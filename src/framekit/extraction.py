@@ -22,7 +22,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_TOLERANCE, VectorSystem, coverage_target, frame_report, gram
+from .core import (
+    DEFAULT_TOLERANCE, VectorSystem, _column_norms, coverage_target, frame_report, gram,
+)
 from .errors import (
     BadParameter,
     GuaranteeEmpty,
@@ -32,7 +34,7 @@ from .errors import (
     RoundLimit,
     ZeroNorm,
 )
-from .metrics import _operator_norm, riesz_constant, separation_and_norm
+from .metrics import _operator_norm, _upper_frame_bound, riesz_constant, separation_and_norm
 from .selection import bt_guarantee_size, greedy_order
 
 ROUND_CAP = 64
@@ -112,14 +114,9 @@ def bound_certificate(
         if abs(ratio - round(ratio)) < 1e-9:
             ratio = round(ratio)
         rounds = 1 + max(1, math.ceil(ratio))
-    try:
-        a = r ** (-(rounds + 1)) / 2.0
-    except OverflowError:
-        a = 0.0
-    try:
-        lower_part = 2.0 * (r - 1.0) * r ** (rounds + 1) / hilbertian
-    except OverflowError:
-        lower_part = math.inf
+    a = r ** (-(rounds + 1)) / 2.0  # underflows to 0.0 without raising
+    with np.errstate(over="ignore"):  # a numpy power gives inf where Python's raises
+        lower_part = float(2.0 * (r - 1.0) * np.float64(r) ** (rounds + 1) / hilbertian)
     return BoundCertificate(b, rounds, r, a, max(hilbertian, lower_part))
 
 
@@ -161,14 +158,18 @@ def _peel(system: VectorSystem, mode: str, parameters: dict) -> ExtractionTrace:
             kept[picked] = False
             resid = q[:, picked.size:].conj().T @ resid[:, kept]
             remaining = remaining[kept]
-        norms = np.linalg.norm(resid, axis=0)
+        norms = _column_norms(resid)
         pool = np.arange(remaining.size)
         rule2 = None
         if delta is not None:
             pool = np.flatnonzero(norms >= delta * (1.0 - 1e-12))
-            # logged (not used for control): d n + (m-1) (d/delta^2) (eps/2) n
-            coeff = c / parameters["upper_bound"] ** 2
-            rule2 = float(coeff * total + (index - 1) * (coeff / delta**2) * (eps / 2.0) * total)
+            # logged (not used for control): d n + (m-1) (d/delta^2) (eps/2) n, in numpy
+            # doubles, so that a d or delta^2 past the double range gives inf or 0; the
+            # (m-1) term is 0 in round one or once d is 0, and is not formed as 0 * inf or 0 / 0
+            with np.errstate(over="ignore", divide="ignore"):
+                coeff = c / np.float64(parameters["upper_bound"]) ** 2
+                step = coeff / np.float64(delta) ** 2 if index > 1 and coeff > 0.0 else 0.0
+                rule2 = float(coeff * total + (index - 1) * step * (eps / 2.0) * total)
         chosen, bound, guarantee, normalized = (), 0.0, 0, False
         if delta is not None and len(pool) <= eps * total / 2.0 + 1e-9:
             stop_reason = "residual_set_small"
@@ -231,11 +232,7 @@ def extract_biorthogonal(system: VectorSystem, eps: float, c: float = 0.1) -> Ex
     separation, hilbertian = separation_and_norm(system)
     if separation <= DEFAULT_TOLERANCE:
         raise NotSeparated(f"separation {separation:.3e} is at or below tolerance")
-    # a Python float product past the largest double is inf, where ** raises OverflowError
-    if not math.isfinite(hilbertian * hilbertian):
-        raise BadParameter(
-            f"upper frame bound sigma_max^2 is not a finite double (sigma_max = {hilbertian!r})"
-        )
+    _upper_frame_bound(hilbertian)
     certificate = theoretical_bound(eps, min(separation, 1.0), max(hilbertian, 1.0), c)
     parameters = {
         "eps": eps,
@@ -251,8 +248,13 @@ def extract_biorthogonal(system: VectorSystem, eps: float, c: float = 0.1) -> Ex
 
 
 def default_delta(eps: float, lower: float, upper: float, min_norm: float) -> float:
-    """Largest residual threshold satisfying the feasibility inequality with equality."""
-    return math.sqrt(eps * lower * min_norm**2 / (2.0 * upper))
+    """Largest residual threshold satisfying the feasibility inequality with equality.
+
+    Inf, 0.0 or NaN, not an exception or a warning, when the product leaves
+    the double range; extract_frame refuses such a delta.
+    """
+    with np.errstate(all="ignore"):
+        return float(np.sqrt(eps * lower * np.float64(min_norm) ** 2 / (2.0 * upper)))
 
 
 def extract_frame(
@@ -267,7 +269,9 @@ def extract_frame(
     delta, where delta defaults to equality in (delta^2/A)(B/alpha^2) <= eps/2.
     The loop stops when either coverage is reached or too few residuals clear
     delta; in the latter case the counting inequalities force the coverage
-    bound anyway.
+    bound anyway.  A delta_override that is not positive, or that violates the
+    inequality (as one whose square overflows does), raises InfeasibleDelta; a
+    default delta that is not a positive finite double raises BadParameter.
     """
     _check_eps_c(eps, c)
     report = frame_report(system)
@@ -280,13 +284,17 @@ def extract_frame(
     if delta_override is not None:
         if not delta_override > 0.0:  # also rejects NaN
             raise InfeasibleDelta(f"delta must be positive, got {delta_override!r}")
-        if (delta_override**2 / lower) * (upper / alpha**2) > eps / 2.0 + 1e-12:
+        with np.errstate(all="ignore"):  # a delta^2 past the double range is inf
+            ratio = (np.float64(delta_override) ** 2 / lower) * (upper / np.float64(alpha) ** 2)
+        if not ratio <= eps / 2.0 + 1e-12:  # also refuses NaN
             raise InfeasibleDelta(
                 f"delta {delta_override:.6g} violates the feasibility inequality"
             )
         delta = float(delta_override)
     else:
         delta = default_delta(eps, lower, upper, alpha)
+        if not 0.0 < delta < math.inf:
+            raise BadParameter(f"default delta is not a positive finite double (delta = {delta!r})")
     n = system.dim
     parameters = {
         "eps": eps,

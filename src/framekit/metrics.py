@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import VectorSystem, _arithmetic, gram
-from .errors import CountMismatch, TooFewVectors
+from .errors import BadParameter, CountMismatch, TooFewVectors
 
 RANK_RTOL = 1e-12
 
@@ -80,7 +80,23 @@ def smallest_singular_value(columns: np.ndarray) -> float:
 
 def _hilbertian_besselian(svals: np.ndarray, r: np.ndarray | None) -> tuple[float, float]:
     """(sigma_max, 1/sigma_min) from _factor's output; Besselian inf for dependent columns."""
-    return float(svals[0]), (math.inf if r is None else float(1.0 / svals[-1]))
+    return float(svals[0]), (math.inf if r is None else 1.0 / float(svals[-1]))
+
+
+def _upper_frame_bound(sigma_max: float) -> float:
+    """The upper frame bound B = sigma_max^2, or BadParameter when it is not a finite double.
+
+    Squared as a numpy scalar under errstate: that calls C pow, as Python's **
+    does, so B keeps the bits of sigma_max ** 2, but gives inf where Python
+    raises OverflowError.
+    """
+    with np.errstate(over="ignore"):
+        upper = float(np.float64(sigma_max) ** 2)
+    if not math.isfinite(upper):
+        raise BadParameter(
+            f"upper frame bound sigma_max^2 is not a finite double (sigma_max = {sigma_max!r})"
+        )
+    return upper
 
 
 def _operator_norm(mat: np.ndarray) -> float:
@@ -100,8 +116,9 @@ def _separation(r: np.ndarray | None) -> tuple[float, np.ndarray | None]:
     r_inv = scipy.linalg.solve_triangular(r, np.eye(r.shape[0], dtype=r.dtype))
     # a row of R^-1 below about 1e-162 has a norm that squares to 0: its distance
     # is then past sqrt(DBL_MAX), and so is sigma_max, which analyze and
-    # extract refuse; the separation reads inf without a warning
-    with np.errstate(divide="ignore"):
+    # extract refuse; the separation reads inf without a warning.  A row above
+    # about 1e154 squares to inf, and the separation (below 1e-154) reads 0.0
+    with np.errstate(divide="ignore", over="ignore"):
         return float(1.0 / np.linalg.norm(r_inv, axis=1).max()), r_inv
 
 

@@ -247,7 +247,8 @@ def select_greedy(
         raise BadTarget(f"target size must be in [1, {system.count}]")
     cols = _validated_columns(system, normalize)
     re, im = cols.real, cols.imag
-    sq_norms = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
+    with np.errstate(over="ignore"):  # refused below, without a warning
+        sq_norms = np.einsum("ij,ij->j", re, re) + np.einsum("ij,ij->j", im, im)
     if not np.all(np.isfinite(sq_norms)):
         raise BadParameter("a squared column norm is not a finite double")
     real = _is_real(cols)
