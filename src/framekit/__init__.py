@@ -35,7 +35,6 @@ from .errors import (
     NotSeparated,
     NotSpanning,
     QuadratureFailure,
-    RoundLimit,
     SchemaError,
     TooFewVectors,
     TooLarge,

@@ -49,10 +49,6 @@ class InfeasibleDelta(FramekitError):
     """A residual threshold override violates the feasibility inequality."""
 
 
-class RoundLimit(FramekitError):
-    """Extraction exceeded the defensive cap on round count."""
-
-
 class QuadratureFailure(FramekitError):
     """Quadrature error estimate exceeds the accuracy contract."""
 

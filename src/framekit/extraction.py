@@ -17,6 +17,7 @@ each round on a residual threshold delta chosen from the frame bounds.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -31,13 +32,10 @@ from .errors import (
     InfeasibleDelta,
     NotSeparated,
     NotSpanning,
-    RoundLimit,
     ZeroNorm,
 )
 from .metrics import _operator_norm, _upper_frame_bound, riesz_constant, separation_and_norm
 from .selection import bt_guarantee_size, greedy_order
-
-ROUND_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -148,7 +146,10 @@ def _peel(system: VectorSystem, mode: str, parameters: dict) -> ExtractionTrace:
     picked = np.arange(0)  # positions in resid of the previous round's picks
     selected: list[int] = []
     rounds: list[ExtractionRound] = []
-    for index in range(1, ROUND_CAP + 1):
+    # Ends by itself: each round adds at least one pick, breaks or raises
+    # GuaranteeEmpty, since greedy_order gets limit target - len(selected) >= 1;
+    # so a trace has at most target + 1 rounds.
+    for index in itertools.count(1):
         if len(selected) >= target:
             stop_reason = "coverage_reached"
             break
@@ -204,8 +205,6 @@ def _peel(system: VectorSystem, mode: str, parameters: dict) -> ExtractionTrace:
         )
         if not chosen:
             break
-    else:
-        raise RoundLimit(f"extraction exceeded {ROUND_CAP} rounds")
     final = tuple(sorted(selected))
     return ExtractionTrace(
         mode=mode,

@@ -49,10 +49,8 @@ def bt_guarantee_size(count: int, operator_norm: float, c: float) -> int:
         raise BadParameter("operator norm must be positive")
     if not 0.0 < c <= 1.0:
         raise BadParameter("c must lie in (0, 1]")
-    try:
-        quotient = c * count / operator_norm**2
-    except (OverflowError, ZeroDivisionError):  # the square overflowed or underflowed to 0
-        quotient = math.nan
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
+        quotient = float(c * count / np.float64(operator_norm) ** 2)
     if not (math.isfinite(quotient) and operator_norm < math.inf):
         raise BadParameter(f"operator norm {operator_norm!r} gives no finite guarantee size")
     if abs(quotient - round(quotient)) <= 1e-9 * quotient:
@@ -211,7 +209,7 @@ def _greedy(row, diag: np.ndarray, limit: int, stop_below: float | None, real: b
         # the eigenvalue of a 1x1 block is its diagonal entry, exactly as eigvalsh gives it
         lam = float(np.linalg.eigvalsh(rows[: k + 1][:, picked])[0]) if chosen else lams[pick]
         bound = math.sqrt(max(lam, 0.0)) * root
-        if stop_below is not None and bound < stop_below:
+        if stop_below is not None and bound < stop_below * (1.0 - TIE_RTOL):
             break
         chosen = picked
         taken[best_j] = True
@@ -223,9 +221,12 @@ def greedy_order(gram: np.ndarray, limit: int, stop_below: float | None = None):
     """Greedy augmentation order maximizing sigma_min at every step.
 
     Returns (indices, bounds) where bounds[k] is sigma_min after k+1 picks.
-    Stops early once the best achievable bound falls under stop_below; by
-    eigenvalue interlacing the bounds sequence is nonincreasing, so the
-    prefix kept is the largest one certified above the threshold.
+    Stops early once the best achievable bound falls under
+    stop_below * (1 - TIE_RTOL): the tie rule's relative slack, so that
+    roundoff does not decide a stop where the bound equals stop_below in exact
+    arithmetic (a unit residual against c = 1).  By eigenvalue interlacing
+    the bounds sequence is nonincreasing, so the prefix kept is the largest
+    one that clears this test.
 
     Each step ranks the candidates by a bordered-eigenvalue update of the
     chosen block (one eigh, see _bordered_min_eigs) and certifies only the

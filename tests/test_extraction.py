@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -90,8 +91,6 @@ def test_biorthogonal_drops_a_near_parallel_vector():
     assert not {0, 1} <= set(trace.final_subset)
     assert trace.final_riesz_constant <= 2.0
     # oracle: enumerate every 8-subset and take the best achievable constant
-    import itertools
-
     oracle = min(
         fk.riesz_constant(vs.subsystem(combo))
         for combo in itertools.combinations(range(10), 8)
@@ -251,6 +250,64 @@ def test_eps_validation():
         fk.extract_biorthogonal(fk.orthonormal(4), 0.5, c=0.0)
 
 
+# every gallery kind at c = 1, where rounds take the fewest picks, in each mode it admits
+TERMINATION_KINDS = {
+    "orthonormal": ({"n": 12}, ("frame", "biorthogonal")),
+    "lemma51": ({"n": 20}, ("frame",)),
+    "duplicated": ({"n": 10}, ("frame",)),
+    "perturbedPairs": ({"n": 10}, ("frame", "biorthogonal")),
+    "weightedExponentials": ({"a": 0.25, "N": 16, "sign": -1}, ("frame", "biorthogonal")),
+    "lemma52Block": ({"k": 2, "eps": 0.3}, ("frame", "biorthogonal")),
+    "prop53Truncation": ({"M": 2, "epsilons": [0.2, 0.2]}, ("frame",)),
+    "randomFrame": ({"n": 32, "m": 64, "seed": 3, "cond": 1e4}, ("frame",)),
+}
+
+
+def termination_cases():
+    """TERMINATION_KINDS, then the extractions of the extract-sweep benchmark
+    workload at seed 4711."""
+    cases = [
+        pytest.param(
+            lambda kind=kind, params=params: fk.generate(fk.GallerySpec(kind, params)),
+            mode, 0.1, 1.0, id=f"{kind}-{mode}",
+        )
+        for kind, (params, modes) in TERMINATION_KINDS.items()
+        for mode in modes
+    ]
+    for n in (40, 80, 120, 160):
+        cases.append(pytest.param(lambda n=n: fk.lemma51(n), "frame", 0.25, 0.1, id=f"sweep-{n}"))
+    for seed in (4711, 4712):
+        cases.append(pytest.param(
+            lambda seed=seed: fk.random_frame(96, 192, seed, 100.0), "frame", 0.25, 0.1,
+            id=f"random96-{seed}",
+        ))
+    cases.append(pytest.param(
+        lambda: fk.random_frame(192, 384, 4713, 1e4), "frame", 0.25, 0.8, id="random192-4713"
+    ))
+    cases.append(pytest.param(lambda: fk.perturbed_pairs(60), "biorthogonal", 0.25, 0.1, id="pairs60"))
+    return cases
+
+
+def test_termination_cases_cover_every_gallery_kind():
+    assert sorted(TERMINATION_KINDS) == sorted(fk.GALLERY_KINDS)
+
+
+@pytest.mark.parametrize("build,mode,eps,c", termination_cases())
+def test_a_trace_has_at_most_target_plus_one_rounds(build, mode, eps, c):
+    # each round takes a pick, breaks or raises, and a run needs at most target picks
+    extract = fk.extract_frame if mode == "frame" else fk.extract_biorthogonal
+    trace = extract(build(), eps, c)
+    assert trace.stop_reason == "coverage_reached"
+    assert len(trace.rounds) <= trace.parameters["target"] + 1
+
+
+def test_a_seventy_round_extraction_reaches_coverage():
+    trace = fk.extract_frame(fk.random_frame(192, 384, 2, 1e4), 0.25, 0.99)
+    assert (trace.stop_reason, len(trace.rounds), len(trace.final_subset)) == (
+        "coverage_reached", 70, 144
+    )
+
+
 # ---------------------------------------------------------------------------
 # parity of the peeling engine with the loop it replaced
 
@@ -288,7 +345,7 @@ def _old_run_rounds(system, eps, c, target, total, delta, rule2_coeff):
     selected = []
     basis = np.zeros((n, 0), dtype=np.complex128)
     rounds = []
-    for round_idx in range(1, fk.extraction.ROUND_CAP + 1):
+    for round_idx in itertools.count(1):
         if len(selected) >= target:
             return selected, rounds, "coverage_reached"
         taken = set(selected)
@@ -334,7 +391,6 @@ def _old_run_rounds(system, eps, c, target, total, delta, rule2_coeff):
                 float(bounds[-1]), guarantee, normalized, len(selected) / total, rule2,
             )
         )
-    raise AssertionError("round cap reached")
 
 
 def old_engine_trace(system, trace):
@@ -357,6 +413,7 @@ PARITY_CASES = [
     ("random-48", lambda: fk.random_frame(48, 96, 2, 1e4), "frame", 0.8),
     ("random-64", lambda: fk.random_frame(64, 128, 3, 1e4), "frame", 0.8),
     ("pairs-20", lambda: fk.perturbed_pairs(20), "biorthogonal", 0.1),
+    ("lemma51-60-c1", lambda: fk.lemma51(60), "frame", 1.0),
 ]
 
 
@@ -380,18 +437,22 @@ def test_engine_matches_old_loop(name, build, mode, c):
 
 
 @pytest.mark.parametrize(
-    "build,eps",
-    [(lambda: fk.lemma51(40), 0.25), (lambda: fk.random_frame(96, 192, 0), 0.75)],
-    ids=["lemma51", "random"],
+    "build,eps,c",
+    [
+        (lambda: fk.lemma51(40), 0.25, 0.1),
+        (lambda: fk.random_frame(96, 192, 0), 0.75, 0.1),
+        (lambda: fk.prop53_truncation(2, [0.2, 0.2]), 0.25, 1.0),
+    ],
+    ids=["lemma51", "random", "prop53Truncation-c1"],
 )
-def test_engine_single_round_traces_are_byte_identical(build, eps):
+def test_engine_single_round_traces_are_byte_identical(build, eps, c):
     from framekit import serialization as ser
 
     system = build()
-    new = fk.extract_frame(system, eps)
+    new = fk.extract_frame(system, eps, c)
     assert len(new.rounds) == 1
-    old = old_engine_trace(system, new)
-    assert ser.dumps(ser.trace_to_json(new)) == ser.dumps(ser.trace_to_json(old))
+    for old in (old_engine_trace(system, new), projection_peel(system, "frame", new.parameters)):
+        assert ser.dumps(ser.trace_to_json(new)) == ser.dumps(ser.trace_to_json(old))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +471,7 @@ def projection_peel(system, mode, parameters):
     cols = system.columns
     selected = []
     rounds = []
-    for index in range(1, fk.extraction.ROUND_CAP + 1):
+    for index in itertools.count(1):
         if len(selected) >= target:
             stop_reason = "coverage_reached"
             break
@@ -461,7 +522,7 @@ def projection_peel(system, mode, parameters):
 
 
 def deflation_cases():
-    """32 multi-round extractions; prop53Truncation spans with count > dim, so
+    """34 multi-round extractions; prop53Truncation spans with count > dim, so
     only frame mode applies to it."""
     cases = []
     for n, seeds in ((64, range(6)), (96, range(4)), (192, range(2))):
@@ -470,6 +531,12 @@ def deflation_cases():
                 build = lambda n=n, seed=seed: fk.random_frame(n, 2 * n, seed, 1e4)
                 cases.append(pytest.param(build, "frame", 0.25, c, id=f"random-{n}-{seed}-c{c}"))
     cases.append(pytest.param(lambda: fk.lemma51(60), "frame", 0.25, 0.8, id="lemma51-60"))
+    # c = 1: a unit residual's bound against the floor 1.0 is a stop that roundoff must not decide
+    cases.append(pytest.param(lambda: fk.lemma51(60), "frame", 0.25, 1.0, id="lemma51-60-c1"))
+    # 70 rounds and 144 picks
+    cases.append(pytest.param(
+        lambda: fk.random_frame(192, 384, 2, 1e4), "frame", 0.25, 0.99, id="random-192-2-c0.99"
+    ))
     cases.append(pytest.param(
         lambda: fk.prop53_truncation(2, [0.2, 0.2]), "frame", 0.01, 0.99, id="prop53Truncation"
     ))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from framekit import serialization as ser
 from framekit.core import gram
 from framekit.errors import BadParameter, BadTarget, TooLarge, ZeroNorm
 from framekit.selection import (
+    TIE_RTOL,
     _bordered_min_eigs,
     _first_tied_best,
     _min_eig,
@@ -100,11 +102,18 @@ def test_bt_guarantee_size_is_stable_at_an_exact_integer(norm):
     assert fk.bt_guarantee_size(85, norm, 0.8) == 68
 
 
-@pytest.mark.parametrize("norm", [1e-200, 1e-160, math.nan, math.inf])
-def test_bt_guarantee_size_rejects_a_degenerate_norm(norm):
-    # the square underflows to 0, the quotient overflows, NaN, and a zero quotient from inf
-    with pytest.raises(BadParameter, match="operator norm"):
-        fk.bt_guarantee_size(10, norm, 0.5)
+@pytest.mark.parametrize(
+    "count, norm",
+    [(10, 1e-200), (0, 1e-200), (10, 1e-160), (10, math.nan), (10, math.inf)],
+    ids=["1e-200", "count0-1e-200", "1e-160", "nan", "inf"],
+)
+def test_bt_guarantee_size_rejects_a_degenerate_norm(count, norm):
+    # the square underflows to 0 (a quotient of inf, or 0 / 0 for count 0), the quotient
+    # overflows, NaN, and a zero quotient from inf; each refused without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(BadParameter, match="operator norm"):
+            fk.bt_guarantee_size(count, norm, 0.5)
 
 
 def test_bt_guarantee_size_bad_parameters():
@@ -177,7 +186,7 @@ def reference_greedy_order(gram, limit, stop_below=None):
         lams = np.array([_min_eig(gram, chosen + [j]) for j in candidates])
         pick = _first_tied_best(lams, gram)
         bound = math.sqrt(max(lams[pick], 0.0))
-        if stop_below is not None and bound < stop_below:
+        if stop_below is not None and bound < stop_below * (1.0 - TIE_RTOL):
             break
         best_j = int(candidates[pick])
         chosen.append(best_j)
