@@ -20,8 +20,14 @@ cols = Q R of the m independent columns, in the m x m coordinates of R:
 The singular values of R are those of cols.  Columns that are dependent (more
 vectors than dimensions, or rank below m at relative tolerance RANK_RTOL) have
 separation exactly 0 and infinite Besselian and Schauder constants.  Every
-singular value and rank decision here comes from one kernel, _factor, and
-every operator 2-norm from one kernel, _operator_norm.
+singular value here comes from one kernel, _factor (or, in
+equivalence_constant, from the SVD of the same R), every rank decision from
+one rule, _rank, and every operator 2-norm from one kernel, _operator_norm.
+
+The equivalence constant of F and G is read off the columns as well: the
+coefficient kernels agree exactly when F, G and [F / sigma_max(F);
+G / sigma_max(G)] have the same _rank, and on the common range the constant
+is the larger of sigma_max and 1 / sigma_min of G V_r S_r^-1.
 """
 from __future__ import annotations
 
@@ -139,7 +145,10 @@ def _ordered_columns(system: VectorSystem, order) -> np.ndarray:
     if order is None:
         return system.columns
     order = list(order)
-    if sorted(order) != list(range(m)):
+    # bools and integral floats sort like a permutation, but numpy reads
+    # bools as a mask and refuses floats as indices
+    integers = all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in order)
+    if not integers or sorted(order) != list(range(m)):
         raise CountMismatch(f"order must be a permutation of 0..{m - 1}")
     return system.columns[:, order]
 
@@ -198,50 +207,44 @@ def separation_and_norm(system: VectorSystem) -> tuple[float, float]:
     return _separation(r)[0], float(svals[0])
 
 
-def _kernel_split(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvectors of a Hermitian PSD Gram split into (range, kernel, range eigenvalues)."""
-    vals, vecs = np.linalg.eigh(gram)
-    vals = np.maximum(vals, 0.0)
-    cutoff = RANK_RTOL * (vals[-1] if vals.size else 0.0)
-    keep = vals > cutoff
-    return vecs[:, keep], vecs[:, ~keep], vals[keep]
-
-
 def equivalence_constant(system_a: VectorSystem, system_b: VectorSystem) -> float:
     """Smallest K with K^-1 ||sum a_i f_i|| <= ||sum a_i g_i|| <= K ||sum a_i f_i||.
 
-    Computed from the extreme generalized eigenvalues of the Gram pencil
-    (Gram_B, Gram_A); infinite when the two coefficient kernels differ.
+    Read off the columns, never a Gram matrix.  The two coefficient kernels
+    agree exactly when F, G and the stack [F / sigma_max(F); G / sigma_max(G)]
+    have the same _rank r; otherwise K is infinite, and two identically zero
+    systems (r = 0) have K = 1.  On the common range, with F = U S V^H from
+    one SVD, K = max(sigma_max(M), 1 / sigma_min(M)) for M = G V_r S_r^-1.
     """
     if system_a.count != system_b.count:
         raise CountMismatch(
             f"counts differ: {system_a.count} vs {system_b.count}"
         )
-    gram_a = system_a.gram()
-    gram_b = system_b.gram()
-    range_a, null_a, vals_a = _kernel_split(gram_a)
-    range_b, null_b, vals_b = _kernel_split(gram_b)
-    if range_a.shape[1] != range_b.shape[1]:
+    cols_a = _arithmetic(system_a.columns)
+    cols_b = _arithmetic(system_b.columns)
+    # F's SVD from the SVD of its R, as _factor takes it: F = Q R = (Q U) S V^H
+    n, m = cols_a.shape
+    _, svals_a, vh_a = np.linalg.svd(
+        cols_a if m > n else np.linalg.qr(cols_a, mode="r"), full_matrices=False
+    )
+    svals_b = _factor(cols_b)[0]
+    rank = _rank(svals_a)
+    if _rank(svals_b) != rank:
         return math.inf
-    if range_a.shape[1] == 0:
+    if rank == 0:
         return 1.0  # both systems are identically zero
-    scale_a = float(vals_a.max())
-    scale_b = float(vals_b.max())
-    if null_a.shape[1]:
-        if _operator_norm(gram_b @ null_a) > 1e-9 * scale_b:
-            return math.inf
-        if _operator_norm(gram_a @ null_b) > 1e-9 * scale_a:
-            return math.inf
-    reduced_a = gram(system_a.columns @ range_a)
-    reduced_b = gram(system_b.columns @ range_a)
-    import scipy.linalg  # at first use, as in _separation
-
-    pencil = scipy.linalg.eigh(reduced_b, reduced_a, eigvals_only=True)
-    lo = max(float(pencil[0]), 0.0)
-    hi = max(float(pencil[-1]), 0.0)
-    if lo == 0.0:
+    stacked = np.vstack([cols_a / svals_a[0], cols_b / svals_b[0]])
+    if _rank(_factor(stacked)[0]) != rank:
         return math.inf
-    return max(math.sqrt(hi), 1.0 / math.sqrt(lo))
+    # M = G V_r S_r^-1, with G V_r taken before the division, has every entry below
+    # K in magnitude: an entry past the double range means K is too, and
+    # sigma_min(M) = 0 reads inf
+    with np.errstate(over="ignore", divide="ignore"):
+        coupling = (cols_b @ vh_a[:rank].conj().T) / svals_a[:rank]
+        if not np.isfinite(coupling).all():
+            return math.inf
+        svals_m = _factor(coupling)[0]
+        return float(max(svals_m[0], 1.0 / svals_m[rank - 1]))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -440,10 +441,14 @@ def test_gen_bad_parameter_exits_two(tmp_path, capsys, spec):
 
 
 def test_console_entry_point_runs():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "framekit.cli", "--help"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "gen" in proc.stdout and "sweep" in proc.stdout

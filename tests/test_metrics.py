@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import framekit as fk
+from framekit import core, metrics
 from framekit.errors import CountMismatch, TooFewVectors
 from framekit.metrics import RANK_RTOL, _operator_norm, _rank
 
@@ -140,6 +142,24 @@ def test_schauder_rejects_non_permutation():
         fk.schauder_basis_constant(fk.orthonormal(3), [0, 0, 1])
 
 
+@pytest.mark.parametrize("order", [[True, False], [1.0, 0.0]], ids=["bools", "floats"])
+@pytest.mark.parametrize("routine", [fk.schauder_basis_constant, fk.basis_metrics])
+def test_order_rejects_entries_that_are_not_integers(routine, order):
+    # [True, False] sorts like [0, 1] but numpy reads it as a mask of one vector
+    with pytest.raises(CountMismatch, match="order must be a permutation"):
+        routine(fk.perturbed_pairs(1), order)
+
+
+@pytest.mark.parametrize("routine", [fk.schauder_basis_constant, fk.basis_metrics])
+def test_order_accepts_any_integer_sequence(routine):
+    vs = fk.perturbed_pairs(1)
+    reversed_order = routine(vs, [1, 0])
+    assert routine(vs, np.array([1, 0])) == reversed_order
+    assert routine(vs, (1, 0)) == reversed_order
+    assert routine(vs, [np.int32(1), np.int64(0)]) == reversed_order
+    assert routine(vs, range(2)) == routine(vs, None)
+
+
 # ---------------------------------------------------------------------------
 # separation
 
@@ -239,6 +259,92 @@ def test_equivalence_triangle_submultiplicative():
         kbc = fk.equivalence_constant(b, c)
         kac = fk.equivalence_constant(a, c)
         assert kab * kbc >= kac * (1.0 - 1e-9)
+
+
+def rotated_system(kappa, seed):
+    """Q1 diag(1, ..., 1/kappa) Q2 with random orthogonal 8x8 Q1, Q2."""
+    rng = np.random.default_rng(seed)
+    q1, q2 = (np.linalg.qr(rng.standard_normal((8, 8)))[0] for _ in range(2))
+    return fk.VectorSystem(q1 @ np.diag(np.geomspace(1.0, 1.0 / kappa, 8)) @ q2)
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_equivalence_to_an_orthonormal_basis_is_the_riesz_constant(k):
+    for seed in range(6):
+        vs = rotated_system(10.0**k, seed)
+        riesz = fk.riesz_constant(vs)
+        assert fk.equivalence_constant(vs, fk.orthonormal(8)) == pytest.approx(riesz, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "vs", [fk.duplicated(3), fk.random_frame(3, 5, seed=1)], ids=["duplicated", "wide"]
+)
+def test_equivalence_of_a_dependent_system_to_an_orthonormal_basis_is_infinite(vs):
+    assert fk.riesz_constant(vs) == math.inf
+    assert fk.equivalence_constant(vs, fk.orthonormal(vs.count)) == math.inf
+
+
+def test_equivalence_is_symmetric():
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n, m = (int(x) for x in rng.integers(1, 6, 2))
+        a, b = (
+            fk.VectorSystem(rng.standard_normal((n, m)) + seed % 2 * 1j * rng.standard_normal((n, m)))
+            for _ in range(2)
+        )
+        kab = fk.equivalence_constant(a, b)
+        kba = fk.equivalence_constant(b, a)
+        if kab == math.inf:
+            assert kba == math.inf
+        else:
+            assert kba == pytest.approx(kab, rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [-700, -530, 0, 530, 700])
+@pytest.mark.parametrize("t", [3.0, 0.25])
+@pytest.mark.parametrize(
+    "vs", [fk.random_frame(4, 4, 3, 10.0), fk.duplicated(2)], ids=["basis", "duplicated"]
+)
+def test_equivalence_to_a_multiple_at_any_scale(vs, t, k):
+    # the Grams of 2^-530 F underflow and those of 2^530 F overflow; the columns do not
+    scaled = fk.VectorSystem(2.0**k * vs.columns)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = fk.equivalence_constant(scaled, fk.VectorSystem(t * scaled.columns))
+    assert value == pytest.approx(max(t, 1.0 / t), rel=1e-12)
+
+
+@pytest.mark.parametrize("k", [700, -700])
+def test_equivalence_past_the_double_range_is_infinite(k):
+    # K(2^k F, 2^-k F) = 2^(2|k|) for a basis F, in either order
+    basis = fk.random_frame(4, 4, 3, 10.0).columns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = fk.equivalence_constant(
+            fk.VectorSystem(2.0**k * basis), fk.VectorSystem(2.0**-k * basis)
+        )
+    assert value == math.inf
+
+
+def test_equivalence_forms_no_gram_and_calls_no_generalized_eigensolver(monkeypatch):
+    tight_source = fk.random_frame(4, 7, seed=9, cond=40.0)
+    dep = fk.duplicated(2)
+    pairs = [
+        (random_system(5), random_system(5)),
+        (fk.orthonormal(3), fk.VectorSystem(2.0 * np.eye(3))),
+        (tight_source, fk.power_transform(tight_source, 0.0)),
+        (dep, fk.orthonormal(4)),
+        (dep, fk.VectorSystem(3.0 * dep.columns)),
+    ]
+    expected = [fk.equivalence_constant(a, b) for a, b in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gram matrix or a Gram pencil was formed")
+
+    monkeypatch.setattr(core, "gram", refuse)
+    monkeypatch.setattr(metrics, "gram", refuse)
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+    assert [fk.equivalence_constant(a, b) for a, b in pairs] == expected
 
 
 # ---------------------------------------------------------------------------
