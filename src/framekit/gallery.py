@@ -18,6 +18,7 @@ constant depends only on the Gram matrix.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -132,44 +133,63 @@ def _frequency_ladder(max_frequency: int, sign: int) -> np.ndarray:
     return np.asarray(freqs, dtype=np.int64)
 
 
+@functools.lru_cache(maxsize=4)
+def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only Gauss-Legendre nodes and weights on [-1, 1], built once per node count."""
+    rule = np.polynomial.legendre.leggauss(nodes)
+    for array in rule:
+        array.setflags(write=False)
+    return rule
+
+
 def _panel_quadrature(weight_exponent: float, max_delta: int, depth: int, nodes: int, osc: float):
     """Nodes/weights for integral_0^pi x^w f(x) dx minus the innermost [0, h] core.
 
     Dyadic panels refine toward the singularity at zero; each panel is split
     so the fastest oscillation advances at most ``osc`` radians per piece.
+    Level k spans [lo, hi] = [pi / 2^(k+1), pi / 2^k] (halved one level at a
+    time), and its edges are linspace's: i * step + lo, the last one hi.
+    Refuses a table of (max_delta + 1) * node count past SYSTEM_SIZE_CAP
+    from the piece counts, before any node is built.
     """
-    base_x, base_w = np.polynomial.legendre.leggauss(nodes)
-    xs: list[np.ndarray] = []
-    ws: list[np.ndarray] = []
-    hi = math.pi
-    for _ in range(depth):
-        lo = hi / 2.0
-        pieces = max(1, math.ceil((hi - lo) * max(max_delta, 1) / osc))
-        edges = np.linspace(lo, hi, pieces + 1)
-        for left, right in zip(edges[:-1], edges[1:]):
-            half = (right - left) / 2.0
-            xs.append((left + right) / 2.0 + half * base_x)
-            ws.append(half * base_w)
-        hi = lo
-    x = np.concatenate(xs)
-    w = np.concatenate(ws) * x**weight_exponent
-    return x, w, hi
+    _require_table(max_delta + 1, nodes * depth)  # every level has a piece, so this bounds all
+    bounds = np.multiply.accumulate(np.r_[math.pi, np.full(depth, 0.5)])
+    hi, lo = bounds[:-1], bounds[1:]
+    with np.errstate(over="ignore"):  # an overflowing count is refused by the cap
+        pieces = np.maximum(1.0, np.ceil((hi - lo) * max(max_delta, 1) / osc))
+    _require_table(max_delta + 1, nodes * pieces.sum())
+    counts = pieces.astype(np.int64)
+    level = np.repeat(np.arange(depth), counts)
+    index = np.arange(level.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    step = ((hi - lo) / pieces)[level]
+    left = index * step + lo[level]
+    right = np.where(index + 1 == counts[level], hi[level], (index + 1) * step + lo[level])
+    half = ((right - left) / 2.0)[:, None]
+    base_x, base_w = _legendre_rule(nodes)
+    x = (((left + right) / 2.0)[:, None] + half * base_x).ravel()
+    w = (half * base_w).ravel() * x**weight_exponent
+    return x, w, float(bounds[-1])
 
 
 def _core_integrals(weight_exponent: float, h: float, deltas: np.ndarray) -> np.ndarray:
-    """integral_0^h x^w cos(delta x) dx by power series (exact for tiny h)."""
-    out = np.zeros(deltas.shape[0])
+    """integral_0^h x^w cos(delta x) dx by power series (exact for tiny h).
+
+    Each delta's series stops after the first term whose next coefficient
+    times h^(w+1) is below 1e-30, or after 60 terms; callers keep delta * h
+    at most 1, where 60 terms are far more than the stop needs.
+    """
+    total = np.zeros(deltas.shape[0])
+    coeff = np.ones(deltas.shape[0])  # accumulates (-1)^j (delta h)^(2j) / (2j)!
+    live = np.ones(deltas.shape[0], dtype=bool)
     power = h ** (weight_exponent + 1.0)
-    for i, delta in enumerate(deltas):
-        coeff = 1.0  # accumulates (-1)^j (delta h)^(2j) / (2j)!
-        total = 0.0
-        for j in range(60):
-            total += coeff * power / (weight_exponent + 2 * j + 1.0)
-            coeff *= -(delta * h) * (delta * h) / ((2 * j + 1.0) * (2 * j + 2.0))
-            if abs(coeff * power) < 1e-30:
-                break
-        out[i] = total
-    return out
+    dh = deltas * h
+    for j in range(60):
+        np.add(total, coeff * power / (weight_exponent + 2 * j + 1.0), out=total, where=live)
+        coeff *= -dh * dh / ((2 * j + 1.0) * (2 * j + 2.0))
+        live &= ~(np.abs(coeff * power) < 1e-30)
+        if not live.any():
+            break
+    return total
 
 
 def weight_fourier_integrals(
@@ -182,13 +202,28 @@ def weight_fourier_integrals(
     """I(delta) = integral_{-pi}^{pi} |x|^w e^(i delta x) dx for delta = 0..max_delta.
 
     The weight is even, so the integrals are real and I(-delta) = I(delta).
+    Raises BadParameter for an exponent that is not a finite number above -1,
+    a max_delta that is not an integer >= 0, a depth or node count that is not
+    an integer >= 1, an osc that is not a finite positive number, and a table
+    of (max_delta + 1) * quadrature nodes past SYSTEM_SIZE_CAP.  Raises
+    QuadratureFailure when max_delta * pi / 2^depth exceeds 1, past which the
+    power series of the innermost core cannot be trusted.
     """
+    weight_exponent = _finite_parameter(weight_exponent, "weight exponent")
     if weight_exponent <= -1.0:
         raise BadParameter("weight exponent must exceed -1 for integrability")
-    deltas = np.arange(max_delta + 1)
+    max_delta = _require_positive(max_delta, "max_delta", minimum=0)
+    depth = _require_positive(depth, "depth")
+    nodes = _require_positive(nodes, "nodes")
+    osc = _finite_parameter(osc, "osc")
+    if not osc > 0.0:
+        raise BadParameter(f"osc must be positive, got {osc!r}")
+    if max_delta * math.ldexp(math.pi, -depth) > 1.0:
+        raise QuadratureFailure(
+            f"core series inaccurate: max_delta * pi / 2^depth exceeds 1 (depth {depth})"
+        )
     x, w, h = _panel_quadrature(weight_exponent, max_delta, depth, nodes, osc)
-    if deltas.size * x.size > SYSTEM_SIZE_CAP:
-        raise BadParameter(f"quadrature table too large: deltas * nodes exceeds {SYSTEM_SIZE_CAP}")
+    deltas = np.arange(max_delta + 1)
     table = np.outer(deltas, x)
     oscillatory = np.cos(table, out=table) @ w
     return 2.0 * (oscillatory + _core_integrals(weight_exponent, h, deltas))
@@ -644,6 +679,11 @@ def generate(spec: GallerySpec) -> VectorSystem:
 def _require_size(dim: int, count: int) -> None:
     if dim * count > SYSTEM_SIZE_CAP:
         raise BadParameter(f"system too large: dim * count exceeds {SYSTEM_SIZE_CAP}")
+
+
+def _require_table(deltas: int, node_count) -> None:
+    if deltas * node_count > SYSTEM_SIZE_CAP:
+        raise BadParameter(f"quadrature table too large: deltas * nodes exceeds {SYSTEM_SIZE_CAP}")
 
 
 def _require_positive(value, name: str, minimum: int = 1) -> int:
