@@ -223,10 +223,23 @@ def weight_fourier_integrals(
             f"core series inaccurate: max_delta * pi / 2^depth exceeds 1 (depth {depth})"
         )
     x, w, h = _panel_quadrature(weight_exponent, max_delta, depth, nodes, osc)
-    deltas = np.arange(max_delta + 1)
-    table = np.outer(deltas, x)
-    oscillatory = np.cos(table, out=table) @ w
-    return 2.0 * (oscillatory + _core_integrals(weight_exponent, h, deltas))
+    oscillatory = _cosine_sums(x, w, max_delta)
+    return 2.0 * (oscillatory + _core_integrals(weight_exponent, h, np.arange(max_delta + 1)))
+
+
+def _cosine_sums(x: np.ndarray, w: np.ndarray, max_delta: int) -> np.ndarray:
+    """sum_j w_j cos(delta x_j) for delta = 0..max_delta, as two small GEMMs.
+
+    With delta = q B + r, B = isqrt(max_delta + 1) and 0 <= r < B, angle
+    addition gives cos(delta x) = cos(q B x) cos(r x) - sin(q B x) sin(r x),
+    so the sums are cos(QBx) @ (cos(Rx) w)^T - sin(QBx) @ (sin(Rx) w)^T: about
+    4 sqrt(max_delta) N trig calls instead of a (max_delta + 1) x N table.
+    """
+    block = math.isqrt(max_delta + 1)
+    steps = np.outer(np.arange(0, max_delta + 1, block), x)  # q B x
+    offsets = np.outer(np.arange(block), x)  # r x
+    sums = np.cos(steps) @ (np.cos(offsets) * w).T - np.sin(steps) @ (np.sin(offsets) * w).T
+    return sums.ravel()[: max_delta + 1]
 
 
 def _normalize_sign(sign) -> int:

@@ -54,6 +54,11 @@ def reference_core_integrals(weight_exponent, h, deltas):
     return out
 
 
+def table_cosine_sums(x, w, max_delta):
+    """sum_j w_j cos(delta x_j) from the (max_delta + 1) x N cosine table."""
+    return np.cos(np.outer(np.arange(max_delta + 1), x)) @ w
+
+
 GRID = [
     (w_exp, max_delta, rule)
     for w_exp in (0.9, 0.5, 0.0, -0.5, -0.9)
@@ -89,6 +94,40 @@ def test_legendre_rule_is_cached_and_read_only():
     for array in (x, w):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+
+
+def mp_cosine_sums(x, w, deltas):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        xs = [mpmath.mpf(float(v)) for v in x]
+        ws = [mpmath.mpf(float(v)) for v in w]
+        return np.array([float(mpmath.fsum(wj * mpmath.cos(d * xj) for xj, wj in zip(xs, ws)))
+                         for d in deltas])
+
+
+@pytest.mark.parametrize(
+    "w_exp, max_delta, rule", [(0.9, 256, FINE), (-0.5, 128, COARSE), (0.5, 128, COARSE)]
+)
+def test_cosine_sums_match_forty_digit_sums_on_the_same_nodes(w_exp, max_delta, rule):
+    x, w, _ = gallery._panel_quadrature(w_exp, max_delta, *rule)
+    sums = gallery._cosine_sums(x, w, max_delta)
+    assert sums.shape == (max_delta + 1,)
+    # the first and last delta of the blocks the split delta = q B + r makes
+    block = math.isqrt(max_delta + 1)
+    deltas = sorted({0, 1, block - 1, block, block + 1, max_delta - 1, max_delta})
+    exact = mp_cosine_sums(x, w, deltas)
+    scale = np.max(np.abs(sums))
+    assert np.max(np.abs(sums[deltas] - exact)) <= 1e-14 * scale
+    assert np.max(np.abs(sums - table_cosine_sums(x, w, max_delta))) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("max_delta", [0, 1, 2, 3, 7, 8, 9, 63, 64])
+def test_cosine_sums_cover_every_delta_once(max_delta):
+    x, w, _ = gallery._panel_quadrature(0.5, max_delta, *COARSE)
+    sums = gallery._cosine_sums(x, w, max_delta)
+    table = table_cosine_sums(x, w, max_delta)
+    assert sums.shape == table.shape
+    assert np.max(np.abs(sums - table)) <= 1e-14 * np.max(np.abs(table))
 
 
 def test_weight_fourier_integrals_keep_the_closed_form_at_delta_zero():
