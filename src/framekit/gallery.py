@@ -161,9 +161,9 @@ def _panel_quadrature(weight_exponent: float, max_delta: int, depth: int, nodes:
     counts = pieces.astype(np.int64)
     level = np.repeat(np.arange(depth), counts)
     index = np.arange(level.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    step = ((hi - lo) / pieces)[level]
-    left = index * step + lo[level]
-    right = np.where(index + 1 == counts[level], hi[level], (index + 1) * step + lo[level])
+    start, step = lo[level], ((hi - lo) / pieces)[level]
+    left = index * step + start
+    right = np.where(index + 1 == counts[level], hi[level], (index + 1) * step + start)
     half = ((right - left) / 2.0)[:, None]
     base_x, base_w = _legendre_rule(nodes)
     x = (((left + right) / 2.0)[:, None] + half * base_x).ravel()
