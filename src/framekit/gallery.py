@@ -68,13 +68,9 @@ def duplicated(n: int, double_ambient: bool = False) -> VectorSystem:
     n = _require_positive(n, "n")
     dim = 2 * n if _flag(double_ambient, "double_ambient") else n
     _require_size(dim, 2 * n)
-    cols = np.zeros((dim, 2 * n), dtype=np.complex128)
-    labels = []
-    for i in range(n):
-        cols[i, 2 * i] = 1.0
-        cols[i, 2 * i + 1] = 1.0
-        labels += [f"e{i + 1}a", f"e{i + 1}b"]
-    return VectorSystem(cols, tuple(labels))
+    pair = np.ones((1, 2), dtype=np.complex128)
+    cols = block_diag(*[pair] * n, np.zeros((dim - n, 0)))  # the rows past C^n stay zero
+    return VectorSystem._own(cols, tuple(f"e{i + 1}{c}" for i in range(n) for c in "ab"))
 
 
 def perturbed_pairs(n: int) -> VectorSystem:
@@ -85,14 +81,9 @@ def perturbed_pairs(n: int) -> VectorSystem:
     """
     n = _require_positive(n, "n")
     _require_size(2 * n, 2 * n)
-    cols = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    labels = []
-    for i in range(n):
-        cols[2 * i, 2 * i] = 1.0
-        cols[2 * i, 2 * i + 1] = 1.0
-        cols[2 * i + 1, 2 * i + 1] = 1.0 / n
-        labels += [f"u{i + 1}", f"v{i + 1}"]
-    return VectorSystem(cols, tuple(labels))
+    pair = np.array([[1.0, 1.0], [0.0, 1.0 / n]], dtype=np.complex128)
+    labels = tuple(f"{v}{i + 1}" for i in range(n) for v in "uv")
+    return VectorSystem._own(block_diag(*[pair] * n), labels)
 
 
 def random_frame(n: int, m: int, seed: int, cond: float = 100.0) -> VectorSystem:
@@ -109,7 +100,7 @@ def random_frame(n: int, m: int, seed: int, cond: float = 100.0) -> VectorSystem
     rng = np.random.default_rng(seed)
     left = _random_isometry(n, n, rng)
     right = _random_isometry(m, n, rng)
-    svals = np.logspace(0.0, -0.5 * math.log10(cond), n) if cond > 1 else np.ones(n)
+    svals = np.logspace(0.0, -0.5 * math.log10(cond), n)
     return VectorSystem._own((left * svals) @ right.conj().T)
 
 
@@ -135,7 +126,12 @@ def _frequency_ladder(max_frequency: int, sign: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only Gauss-Legendre nodes and weights on [-1, 1], built once per node count."""
+    """The read-only Gauss-Legendre nodes and weights on [-1, 1], built once per node count.
+
+    The rule solves a nodes x nodes eigenproblem, so past FLAT_SIZE_CAP nodes it is refused.
+    """
+    if nodes > FLAT_SIZE_CAP:
+        raise BadParameter(f"nodes must be at most {FLAT_SIZE_CAP}, got {nodes!r}")
     rule = np.polynomial.legendre.leggauss(nodes)
     for array in rule:
         array.setflags(write=False)
@@ -150,9 +146,12 @@ def _panel_quadrature(weight_exponent: float, max_delta: int, depth: int, nodes:
     Level k spans [lo, hi] = [pi / 2^(k+1), pi / 2^k] (halved one level at a
     time), and its edges are linspace's: i * step + lo, the last one hi.
     Refuses a table of (max_delta + 1) * node count past SYSTEM_SIZE_CAP
-    from the piece counts, before any node is built.
+    from the piece counts, before any node is built, and a depth whose
+    innermost edge pi / 2^depth is subnormal, past which x^w can overflow for w < 0.
     """
     _require_table(max_delta + 1, nodes * depth)  # every level has a piece, so this bounds all
+    if math.ldexp(math.pi, -depth) < np.finfo(np.float64).tiny:
+        raise QuadratureFailure(f"depth {depth}: pi / 2^depth is below the smallest normal double")
     bounds = np.multiply.accumulate(np.r_[math.pi, np.full(depth, 0.5)])
     hi, lo = bounds[:-1], bounds[1:]
     with np.errstate(over="ignore"):  # an overflowing count is refused by the cap
@@ -204,10 +203,13 @@ def weight_fourier_integrals(
     The weight is even, so the integrals are real and I(-delta) = I(delta).
     Raises BadParameter for an exponent that is not a finite number above -1,
     a max_delta that is not an integer >= 0, a depth or node count that is not
-    an integer >= 1, an osc that is not a finite positive number, and a table
-    of (max_delta + 1) * quadrature nodes past SYSTEM_SIZE_CAP.  Raises
-    QuadratureFailure when max_delta * pi / 2^depth exceeds 1, past which the
-    power series of the innermost core cannot be trusted.
+    an integer >= 1, an osc that is not a finite positive number, a table of
+    (max_delta + 1) * quadrature nodes past SYSTEM_SIZE_CAP, and a node count
+    past FLAT_SIZE_CAP, whose Gauss-Legendre rule is a dense eigenproblem.
+    Raises QuadratureFailure when max_delta * pi / 2^depth exceeds 1, past
+    which the power series of the innermost core cannot be trusted, and when
+    pi / 2^depth is below the smallest normal double (depth > 1023), past
+    which the innermost panels underflow.
     """
     weight_exponent = _finite_parameter(weight_exponent, "weight exponent")
     if weight_exponent <= -1.0:
@@ -382,10 +384,11 @@ def _flat_conditional_basis(
 ) -> FlatBlock:
     """Grow the Hilbertian-side weighted exponential family until it admits a flat vector.
 
-    ladder maps each max frequency tried to its family, frame operator S and
-    the OperatorPower of S; builds that search several budgets pass one
+    ladder maps each max frequency tried to its family and the OperatorPower
+    of its frame operator; builds that search several budgets pass one
     ladder, so each frequency is built and factored once.  The flat mass is
-    read off the same S.
+    the smallest eigenvalue of that OperatorPower, the one tested against
+    the budget.
     """
     if budget <= 0.0:
         raise BadParameter("budget must be positive")
@@ -394,9 +397,8 @@ def _flat_conditional_basis(
     while True:
         if max_frequency not in ladder:
             system = weighted_exponentials(a, max_frequency, +1, normalized=True)
-            s = frame_operator(system)
-            ladder[max_frequency] = system, s, OperatorPower._of_operator(s, 1.0)
-        system, s, power = ladder[max_frequency]
+            ladder[max_frequency] = system, OperatorPower._of_operator(frame_operator(system), 1.0)
+        system, power = ladder[max_frequency]
         try:
             flat = _bottom_vector(power, budget)
         except NotFlat:
@@ -404,7 +406,7 @@ def _flat_conditional_basis(
                 raise
             max_frequency = max(1, 2 * max_frequency)
             continue
-        return FlatBlock(system, flat, float(np.real(np.vdot(flat, s @ flat))))
+        return FlatBlock(system, flat, power.bounds[0])
 
 
 def lemma52_block(
@@ -488,17 +490,13 @@ def build_prop53_truncation(
         raise BadParameter(f"epsilon values must be positive and finite, got {eps_list!r}")
     start_frequency = _require_positive(start_frequency, "start_frequency", minimum=0)
     normalized = _flag(normalized, "normalized")
+    flats: list[FlatBlock] = []
     layers: list[VectorSystem] = []
-    flat_bases: list[np.ndarray] = []
-    masses: list[float] = []
     ms = range(2, depth + 2)
     ladder: dict = {}
-    for m, eps in zip(ms, eps_list):
-        flat = _flat_conditional_basis(eps / m, a, start_frequency, ladder)
-        flat_basis = block_diag(*[flat.flat_vector[:, None]] * m)
-        layers.append(_prop53_layer(flat, m, flat_basis))
-        flat_bases.append(flat_basis)
-        masses.append(flat.flat_mass)
+    for m, eps in zip(ms, eps_list):  # each layer's size is checked before the next search
+        flats.append(_flat_conditional_basis(eps / m, a, start_frequency, ladder))
+        layers.append(_prop53_layer(flats[-1], m))
     del ladder  # its families and factors are not held while the layers are assembled
     cols, labels = _block_columns(layers)
     # keep only the layer counts, so the layers' columns are freed before normalizing
@@ -507,22 +505,23 @@ def build_prop53_truncation(
     if normalized:
         cols /= _column_norms(cols)
     assembled = VectorSystem._own(cols, labels)
-    subspaces = np.hsplit(block_diag(*flat_bases), list(itertools.accumulate(ms))[:-1])
+    flat_columns = [flat.flat_vector[:, None] for flat, m in zip(flats, ms) for _ in range(m)]
+    subspaces = np.hsplit(block_diag(*flat_columns), list(itertools.accumulate(ms))[:-1])
     blocks = tuple(
-        LayeredBlock(m, eps, slice(end - m - 1, end), subspace, mass)
-        for m, eps, end, subspace, mass in zip(ms, eps_list, ends, subspaces, masses)
+        LayeredBlock(m, eps, slice(end - m - 1, end), subspace, flat.flat_mass)
+        for m, eps, end, subspace, flat in zip(ms, eps_list, ends, subspaces, flats)
     )
     return assembled, blocks
 
 
-def _prop53_layer(flat: FlatBlock, m: int, flat_basis: np.ndarray) -> VectorSystem:
-    """Layer m of the truncation; its block_diag temporaries are freed on return."""
+def _prop53_layer(flat: FlatBlock, m: int) -> VectorSystem:
+    """Layer m of the truncation, size-checked before any layout; temporaries freed on return."""
     n_m = m * flat.system.count
     _require_size(n_m, 2 * n_m + 1)
     cols = np.hstack([
         block_diag(*[flat.system.columns] * m),
         block_diag(*[_complete_to_onb(flat.flat_vector)] * m),
-        flat_basis @ lemma51(m).columns,
+        block_diag(*[flat.flat_vector[:, None]] * m) @ lemma51(m).columns,
     ])
     labels = [f"g{i}" for i in range(n_m)] + [f"e{i}" for i in range(n_m - m)]
     labels += [f"f{i}" for i in range(m + 1)]
@@ -569,7 +568,7 @@ def audit_prop53(
     audits: list[PatternAudit] = []
     for block in blocks:
         m = block.m
-        frame_cols = list(range(block.flat_frame_slice.start, block.flat_frame_slice.stop))
+        frame_cols = range(block.flat_frame_slice.start, block.flat_frame_slice.stop)
         frame_local = lemma51(m).columns
         for size in range(m + 2):
             for kept in itertools.combinations(range(m + 1), size):
@@ -588,8 +587,9 @@ def audit_prop53(
                     )
                 else:
                     witness = _flat_witness(block, frame_local, kept)
-                    dropped = set(frame_cols) - set(kept_cols)
-                    allowed = [i for i in range(system.count) if i not in dropped]
+                    allowed = np.ones(system.count, dtype=bool)
+                    allowed[block.flat_frame_slice] = False
+                    allowed[kept_cols] = True
                     inner = system.columns[:, allowed].conj().T @ witness
                     mass = float(np.sum(np.abs(inner) ** 2))
                     ok = mass <= block.eps + 1e-12

@@ -322,17 +322,23 @@ def test_size_cap_rejects_before_allocating(build):
 
 
 def test_size_cap_is_checked_before_each_block_layout(monkeypatch):
-    # at flat budget eps/m = 0.3 the conditional basis has 17 vectors, so its
-    # 289-entry Gram matrix passes a 1000-entry cap while the first prop53 layer
-    # (34 x 69) and four lemma52 copies (68 x 68) do not; no block_diag may start
+    # at flat budget eps/m = 0.3 the conditional basis has 17 vectors; the flat
+    # block is built under the real cap, since its quadrature table alone
+    # passes 1000 entries.  Under a 1000-entry cap the first prop53 layer
+    # (34 x 69) and four lemma52 copies (68 x 68) are refused; no block_diag,
+    # not even the flat basis's, may start
+    flat = gallery._flat_conditional_basis(0.3, 0.45, 8)
+    assert flat.system.count == 17
+
     def no_layout(*blocks):
         raise AssertionError("block_diag called past the size cap")
 
+    monkeypatch.setattr(gallery, "_flat_conditional_basis", lambda *args: flat)
     monkeypatch.setattr(gallery, "SYSTEM_SIZE_CAP", 1000)
     monkeypatch.setattr(gallery, "block_diag", no_layout)
-    with pytest.raises(BadParameter, match="too large"):
+    with pytest.raises(BadParameter, match="system too large"):
         fk.prop53_truncation(1, [0.6])
-    with pytest.raises(BadParameter, match="too large"):
+    with pytest.raises(BadParameter, match="system too large"):
         fk.build_lemma52_block(4, 1.2)
 
 

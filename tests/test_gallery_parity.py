@@ -1,11 +1,11 @@
 """Parity of the block_diag gallery builders with the offset-loop builders they replaced.
 
 The reference functions below are verbatim copies of the former
-``assemble_block_system``, ``build_lemma52_block`` and
-``build_prop53_truncation`` (renamed with a ``reference_`` prefix, the old
-``LayeredBlock`` with its since-deleted fields included).  The current
-builders must give bitwise equal columns, equal labels and equal per-layer
-bookkeeping.  The gallery's own block_diag must give the bits, dtype and
+``assemble_block_system``, ``build_lemma52_block``,
+``build_prop53_truncation``, ``duplicated`` and ``perturbed_pairs``
+(renamed with a ``reference_`` prefix, the old ``LayeredBlock`` with its
+since-deleted fields included).  The current builders must give bitwise
+equal columns, equal labels and equal per-layer bookkeeping.  The gallery's own block_diag must give the bits, dtype and
 layout of scipy.linalg.block_diag on every argument shape the builders pass.
 """
 from dataclasses import dataclass
@@ -15,12 +15,14 @@ import pytest
 import scipy.linalg
 
 import framekit as fk
-from framekit.core import VectorSystem
+from framekit.core import OperatorPower, VectorSystem
 from framekit.errors import BadParameter, EmptyInput
 from framekit.gallery import (
     _complete_to_onb,
+    _flag,
     _flat_conditional_basis,
     _require_positive,
+    _require_size,
     block_diag,
     lemma51,
 )
@@ -148,6 +150,32 @@ def reference_build_prop53_truncation(
     return assembled, tuple(blocks)
 
 
+def reference_duplicated(n: int, double_ambient: bool = False) -> VectorSystem:
+    n = _require_positive(n, "n")
+    dim = 2 * n if _flag(double_ambient, "double_ambient") else n
+    _require_size(dim, 2 * n)
+    cols = np.zeros((dim, 2 * n), dtype=np.complex128)
+    labels = []
+    for i in range(n):
+        cols[i, 2 * i] = 1.0
+        cols[i, 2 * i + 1] = 1.0
+        labels += [f"e{i + 1}a", f"e{i + 1}b"]
+    return VectorSystem(cols, tuple(labels))
+
+
+def reference_perturbed_pairs(n: int) -> VectorSystem:
+    n = _require_positive(n, "n")
+    _require_size(2 * n, 2 * n)
+    cols = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    labels = []
+    for i in range(n):
+        cols[2 * i, 2 * i] = 1.0
+        cols[2 * i, 2 * i + 1] = 1.0
+        cols[2 * i + 1, 2 * i + 1] = 1.0 / n
+        labels += [f"u{i + 1}", f"v{i + 1}"]
+    return VectorSystem(cols, tuple(labels))
+
+
 def assert_same_system(new, old):
     assert new.columns.dtype == old.columns.dtype
     assert np.array_equal(new.columns, old.columns)
@@ -180,6 +208,38 @@ def test_lemma52_block_matches_reference():
     assert flat_basis.dtype == ref_flat_basis.dtype
     assert np.array_equal(flat_basis, ref_flat_basis)
     assert q == ref_q
+
+
+# every n up to 12, and the sizes the benchmark workloads generate
+PAIR_SIZES = [*range(1, 13), 60, 80]
+
+
+def assert_same_bytes(new, old):
+    assert new.columns.dtype == old.columns.dtype == np.complex128
+    assert new.columns.shape == old.columns.shape
+    assert new.columns.tobytes() == old.columns.tobytes()
+    assert new.labels == old.labels
+
+
+@pytest.mark.parametrize("double_ambient", [False, True])
+@pytest.mark.parametrize("n", PAIR_SIZES)
+def test_duplicated_matches_reference_bytes(n, double_ambient):
+    assert_same_bytes(fk.duplicated(n, double_ambient), reference_duplicated(n, double_ambient))
+
+
+@pytest.mark.parametrize("n", PAIR_SIZES)
+def test_perturbed_pairs_matches_reference_bytes(n):
+    assert_same_bytes(fk.perturbed_pairs(n), reference_perturbed_pairs(n))
+
+
+# the per-copy budgets eps / m and eps / k of the workloads' prop53Truncation
+# and lemma52Block builds
+@pytest.mark.parametrize("budget", [0.1 / 3, 0.05, 0.05 / 3, 0.1, 0.2 / 3])
+def test_flat_mass_is_the_bottom_eigenvalue_the_budget_tested(budget):
+    block = _flat_conditional_basis(budget, 0.45, 8)
+    bottom = OperatorPower.compute(block.system, 1.0).bounds[0]
+    assert block.flat_mass.hex() == bottom.hex()
+    assert block.flat_mass <= budget
 
 
 @pytest.mark.parametrize("labeled", [True, False])

@@ -8,6 +8,7 @@ the same nodes and against the (D+1) x N cosine table they replaced.
 """
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -191,3 +192,48 @@ def test_core_series_that_cannot_be_accurate_is_refused(depth):
         fk.weight_fourier_integrals(0.5, 100, depth=depth)
     # the widest core admitted: 7 * pi / 2^5 < 1
     fk.weight_fourier_integrals(0.5, 7, depth=5)
+
+
+@pytest.mark.parametrize("nodes", [gallery.FLAT_SIZE_CAP + 1, 1 << 24])
+def test_node_count_past_the_flat_cap_is_refused_before_the_rule_is_solved(monkeypatch, nodes):
+    # the table cap admits these node counts at max_delta 0 and depth 1, but
+    # each would be a nodes x nodes companion eigenproblem
+    def no_rule(n):
+        raise AssertionError(f"leggauss called with {n} nodes")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rule)
+    with pytest.raises(BadParameter, match=f"nodes must be at most {gallery.FLAT_SIZE_CAP}"):
+        fk.weight_fourier_integrals(0.5, 0, depth=1, nodes=nodes)
+
+
+def test_node_count_at_the_flat_cap_reaches_the_rule(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(n):
+        raise Reached(n)
+
+    gallery._legendre_rule.cache_clear()
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", reached)
+    with pytest.raises(Reached):
+        fk.weight_fourier_integrals(0.5, 0, depth=1, nodes=gallery.FLAT_SIZE_CAP)
+
+
+# the shallowest depths that returned NaN, with numpy warnings, at these exponents
+@pytest.mark.parametrize("w_exp, depth", [(-0.99, 1037), (-0.5, 1077)])
+def test_panel_deeper_than_the_normal_doubles_is_refused(w_exp, depth):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureFailure, match="smallest normal double"):
+            fk.weight_fourier_integrals(w_exp, 4, depth=depth)
+
+
+@pytest.mark.parametrize("w_exp", [-0.9999, -0.5, 5.0])
+def test_deepest_admitted_panel_is_finite(w_exp):
+    # at depth 1023 every node is at least pi / 2^1023, so x^w stays below 2^1023 / pi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = fk.weight_fourier_integrals(w_exp, 4, depth=1023)
+    assert np.all(np.isfinite(values))
+    with pytest.raises(QuadratureFailure, match="smallest normal double"):
+        fk.weight_fourier_integrals(w_exp, 4, depth=1024)

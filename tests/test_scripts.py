@@ -41,3 +41,14 @@ def test_exponential_dichotomy_script():
     # one row per size for each sign
     signs_and_sizes = [(row[0], row[1]) for row in table]
     assert signs_and_sizes == [("-", "8"), ("-", "16"), ("+", "8"), ("+", "16")]
+
+
+def test_code_lines_script_total_is_the_sum_of_the_modules():
+    proc = run_script("code_lines.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    *modules, (total, label) = rows
+    assert label == "total"
+    assert {name for _, name in modules} == {p.name for p in (ROOT / "src" / "framekit").glob("*.py")}
+    assert all(int(count) > 0 for count, _ in modules)
+    assert int(total) == sum(int(count) for count, _ in modules)
