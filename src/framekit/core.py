@@ -265,7 +265,7 @@ def _frame_report(
     bounds of an OperatorPower of S, or the squared extreme singular values of
     the columns, which `analyze` reads off basis_metrics without forming S.
     """
-    if tolerance <= 0:
+    if not tolerance > 0:  # also rejects NaN
         raise BadParameter("tolerance must be positive")
     a, b = bounds
     norms = system.norms()
@@ -371,7 +371,11 @@ def random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def coverage_target(total: int, eps: float) -> int:
-    """Smallest integer not below (1 - eps) * total, robust to float dust."""
+    """Smallest integer not below (1 - eps) * total, robust to float dust.
+
+    At least 1: (1 - eps) * total is positive, even where the dust term lifts
+    eps * total, for eps within 1e-9 / total of 1, to total.
+    """
     if not 0.0 < eps < 1.0:
         raise BadParameter("eps must lie strictly between 0 and 1")
-    return total - math.floor(eps * total + 1e-9)
+    return max(1, total - math.floor(eps * total + 1e-9))

@@ -17,7 +17,6 @@ each round on a residual threshold delta chosen from the frame bounds.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -97,7 +96,7 @@ def bound_certificate(
     _check_eps_c(eps, c)
     if not 0.0 < separation <= 1.0:
         raise BadParameter("separation must lie in (0, 1]")
-    if hilbertian < 1.0:
+    if not hilbertian >= 1.0:  # also rejects NaN
         raise BadParameter("hilbertian constant must be at least 1")
     b = c * separation**2 / hilbertian**2
     r = max(2.0, 1.0 + 2.0 * hilbertian / (c * separation)) + 1.0
@@ -137,7 +136,8 @@ def _peel(system: VectorSystem, mode: str, parameters: dict) -> ExtractionTrace:
     round at coverage k costs O((n - k)^3 + (n - k) m^2), not O(n^3 + n m^2).
 
     Frame mode (parameters carry "delta") examines only residuals of norm at
-    least delta and stops once too few of them remain.
+    least delta; extract_frame shows that more than eps n / 2 of them remain
+    in every round before coverage.
     """
     eps, c, target, total = (parameters[k] for k in ("eps", "c", "target", "total"))
     delta = parameters.get("delta")
@@ -146,13 +146,11 @@ def _peel(system: VectorSystem, mode: str, parameters: dict) -> ExtractionTrace:
     picked = np.arange(0)  # positions in resid of the previous round's picks
     selected: list[int] = []
     rounds: list[ExtractionRound] = []
-    # Ends by itself: each round adds at least one pick, breaks or raises
-    # GuaranteeEmpty, since greedy_order gets limit target - len(selected) >= 1;
-    # so a trace has at most target + 1 rounds.
-    for index in itertools.count(1):
-        if len(selected) >= target:
-            stop_reason = "coverage_reached"
-            break
+    # Ends by itself: each round adds at least one pick or raises GuaranteeEmpty,
+    # since greedy_order gets limit target - len(selected) >= 1; so a trace has
+    # at most target rounds, and coverage is the only way out of the loop.
+    while len(selected) < target:
+        index = len(rounds) + 1
         if picked.size:
             q = np.linalg.qr(resid[:, picked], mode="complete")[0]
             kept = np.ones(remaining.size, dtype=bool)
@@ -171,47 +169,42 @@ def _peel(system: VectorSystem, mode: str, parameters: dict) -> ExtractionTrace:
                 coeff = c / np.float64(parameters["upper_bound"]) ** 2
                 step = coeff / np.float64(delta) ** 2 if index > 1 and coeff > 0.0 else 0.0
                 rule2 = float(coeff * total + (index - 1) * step * (eps / 2.0) * total)
-        chosen, bound, guarantee, normalized = (), 0.0, 0, False
-        if delta is not None and len(pool) <= eps * total / 2.0 + 1e-9:
-            stop_reason = "residual_set_small"
-        else:
-            work = resid[:, pool]
-            floor = float(np.min(norms[pool]))
-            if selected:
-                work, floor, normalized = work / norms[pool], 1.0, True
-            if floor <= 0.0:
-                raise GuaranteeEmpty("all residuals vanished before reaching coverage")
-            guarantee = bt_guarantee_size(len(pool), _operator_norm(work), c)
-            order, bounds = greedy_order(gram(work), target - len(selected), stop_below=c * floor)
-            if not order:
-                raise GuaranteeEmpty(
-                    f"round {index}: guarantee size {guarantee} and no certifiable pick"
-                )
-            picked = pool[order]
-            chosen, bound = tuple(remaining[picked].tolist()), float(bounds[-1])
-            selected.extend(chosen)
+        floor = float(np.min(norms[pool]))
+        if floor <= 0.0:
+            raise GuaranteeEmpty("all residuals vanished before reaching coverage")
+        work = resid[:, pool]
+        normalized = bool(selected)
+        if normalized:
+            work, floor = work / norms[pool], 1.0
+        guarantee = bt_guarantee_size(len(pool), _operator_norm(work), c)
+        order, bounds = greedy_order(gram(work), target - len(selected), stop_below=c * floor)
+        if not order:
+            raise GuaranteeEmpty(
+                f"round {index}: guarantee size {guarantee} and no certifiable pick"
+            )
+        picked = pool[order]
+        chosen = tuple(remaining[picked].tolist())
+        selected.extend(chosen)
         rounds.append(
             ExtractionRound(
                 index=index,
                 examined=tuple(remaining.tolist()),
                 residual_norms=tuple(float(x) for x in norms),
                 selected=chosen,
-                certified_bound=bound,
+                certified_bound=float(bounds[-1]),
                 bt_target=guarantee,
                 normalized=normalized,
                 coverage=len(selected) / total,
                 rule2_lower_bound=rule2,
             )
         )
-        if not chosen:
-            break
     final = tuple(sorted(selected))
     return ExtractionTrace(
         mode=mode,
         rounds=tuple(rounds),
         final_subset=final,
         final_riesz_constant=riesz_constant(system.subsystem(final)),
-        stop_reason=stop_reason,
+        stop_reason="coverage_reached",
         parameters=parameters,
     )
 
@@ -266,9 +259,22 @@ def extract_frame(
 
     Rounds select only among indices whose current residual norm is at least
     delta, where delta defaults to equality in (delta^2/A)(B/alpha^2) <= eps/2.
-    The loop stops when either coverage is reached or too few residuals clear
-    delta; in the latter case the counting inequalities force the coverage
-    bound anyway.  A delta_override that is not positive, or that violates the
+    The loop stops only at coverage; every round before it has more than
+    eps n / 2 residuals at or above delta to choose from.  Proof: a round starts
+    with k < target picks, so the complement of their span (projection P) has
+    dimension n - k >= floor(eps n) + 1 > eps n.  Let r be the dimension of
+    its part orthogonal to the pool's residuals, so r >= n - k - |pool|, and
+    u_1..u_r an orthonormal basis of that part.  Only residuals P f_i below
+    delta reach it, so r A <= sum_j sum_i |<u_j, f_i>|^2 < m delta^2, and the
+    cardinality inequality m <= n B / alpha^2 with the feasibility inequality
+    gives m delta^2 <= eps A n / 2.  Hence r < eps n / 2 and |pool| >= n - k - r
+    > eps n / 2.  The slacks (1e-9 in coverage_target, 1e-12 in the feasibility
+    check and the pool threshold) and roundoff in A, B and alpha can void this
+    only when eps n lies within about 1e-9 + 1e-12 n below an integer; there
+    the loop still picks until coverage or raises GuaranteeEmpty.  The pool is
+    never empty: that would need (n - k) A < eps A n / 2.
+
+    A delta_override that is not positive, or that violates the
     inequality (as one whose square overflows does), raises InfeasibleDelta; a
     default delta that is not a positive finite double raises BadParameter.
     """

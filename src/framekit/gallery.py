@@ -320,7 +320,7 @@ def find_flat_vector(system: VectorSystem, budget: float) -> np.ndarray:
     enlarge the system and retry.
     The vector is complex128 even when the frame operator is real.
     """
-    if budget <= 0.0:
+    if not budget > 0.0:  # also rejects NaN
         raise BadParameter("budget must be positive")
     return _bottom_vector(OperatorPower._of_operator(frame_operator(system), 1.0), budget)
 
@@ -390,7 +390,7 @@ def _flat_conditional_basis(
     the smallest eigenvalue of that OperatorPower, the one tested against
     the budget.
     """
-    if budget <= 0.0:
+    if not budget > 0.0:  # also rejects NaN
         raise BadParameter("budget must be positive")
     ladder = {} if ladder is None else ladder
     max_frequency = start_frequency

@@ -275,7 +275,7 @@ def select_exhaustive(
     if not 1 <= target_size <= m:
         raise BadTarget(f"target size must be in [1, {m}]")
     n_subsets = math.comb(m, target_size)
-    if n_subsets > max_subsets:
+    if not n_subsets <= max_subsets:  # also refuses NaN
         raise TooLarge(
             f"C({m}, {target_size}) = {n_subsets} exceeds the guard {max_subsets}"
         )

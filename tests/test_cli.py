@@ -313,6 +313,33 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_gen_into_a_missing_directory_exits_two_with_an_os_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.json"
+    code, _, err = run_cli(capsys, "gen", "--spec", '{"kind": "lemma51", "n": 4}', "--out", str(out))
+    assert code == 2
+    assert json.loads(err)["error"] == "OSError"
+    assert not out.parent.exists()
+
+
+def test_sweep_random_frame_without_a_seed_takes_the_plan_seed(tmp_path, capsys):
+    def sweep_csv(generator, seed):
+        plan = {
+            "generator": {"kind": "randomFrame", "n": 4, "m": 10, **generator},
+            "sweep": {"name": "n", "values": [4, 5]},
+            "extract": {"mode": "frame", "eps": 0.25, "c": 0.1},
+            "out": str(tmp_path / "sweep.csv"),
+            "seed": seed,
+        }
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(plan))
+        assert run_cli(capsys, "sweep", "--plan", str(plan_path))[0] == 0
+        return (tmp_path / "sweep.csv").read_bytes()
+
+    from_plan = sweep_csv({}, 7)
+    assert from_plan == sweep_csv({"seed": 7}, 0)
+    assert from_plan != sweep_csv({"seed": 8}, 7)
+
+
 def test_sweep_deterministic_and_ordered(tmp_path, capsys):
     plan = {
         "v": 1,
@@ -369,6 +396,8 @@ def test_sweep_rejects_bad_plan(tmp_path, capsys):
         {"extract": {"mode": "nope"}},
         {"generator": [1]},
         {"sweep": {"name": ["n"], "values": [4]}},
+        {"sweep": {"name": "n", "values": []}},
+        {"sweep": {"name": "n", "values": 4}},
         {"seed": "abc"},
         {"seed": 1.9},
         {"seed": 0.5},

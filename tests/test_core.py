@@ -47,6 +47,21 @@ def test_system_rejects_bad_labels():
         fk.VectorSystem(np.eye(2), labels=("a", "a"))
 
 
+@pytest.mark.parametrize(
+    "cols, message",
+    [
+        (np.ones(3), "2-d array, got ndim=1"),
+        (np.ones((1, 2, 2)), "2-d array, got ndim=3"),
+        (np.ones((0, 3)), "got 0x3"),
+        (np.ones((2, 0)), "got 2x0"),
+    ],
+    ids=["1-d", "3-d", "no-rows", "no-columns"],
+)
+def test_system_rejects_a_shape_that_is_not_a_nonempty_matrix(cols, message):
+    with pytest.raises(BadParameter, match=message):
+        fk.VectorSystem(cols)
+
+
 def test_system_columns_are_read_only():
     vs = fk.orthonormal(3)
     with pytest.raises(ValueError):
@@ -208,6 +223,18 @@ def test_dimension_mismatch_errors():
         fk.synthesis_apply(vs, [1, 0])
     with pytest.raises(DimensionMismatch):
         fk.analysis_apply(vs, [1, 0])
+
+
+def test_canonical_dual_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(DimensionMismatch, match="expected a dim-3 vector, got 2"):
+        fk.canonical_dual_reconstruct(fk.orthonormal(3), [1.0, 0.0])
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1e-10, np.nan])
+def test_frame_report_rejects_a_tolerance_that_is_not_positive(tolerance):
+    # a NaN tolerance used to report a tight spanning frame as neither
+    with pytest.raises(BadParameter, match="tolerance must be positive"):
+        fk.frame_report(fk.lemma51(4), tolerance)
 
 
 @given(st.integers(0, 10_000))
@@ -429,6 +456,12 @@ def test_coverage_target_handles_float_dust():
     assert fk.coverage_target(7, 0.5) == 4  # ceil(3.5)
     with pytest.raises(BadParameter):
         fk.coverage_target(10, 0.0)
+
+
+def test_coverage_target_is_at_least_one_for_eps_near_one():
+    # eps * 10 + 1e-9 floors to 10, yet (1 - eps) * 10 = 1e-9 still asks for one index
+    assert fk.coverage_target(10, 0.9999999999) == 1
+    assert fk.coverage_target(1, 0.9999999999) == 1
 
 
 def test_frame_bounds_refuse_an_operator_past_the_largest_double():

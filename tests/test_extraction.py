@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import framekit as fk
 from framekit.errors import (
@@ -71,6 +73,15 @@ def test_certificate_bad_parameters():
         fk.theoretical_bound(0.5, 1.0, 0.5, 0.5)
     with pytest.raises(BadParameter):
         fk.theoretical_bound(0.5, 1.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("position", range(4), ids=["eps", "separation", "hilbertian", "c"])
+def test_certificate_rejects_nan_in_every_argument(position):
+    # a NaN hilbertian constant used to reach round() and raise ValueError
+    args = [0.5, 0.5, 1.5, 0.1]
+    args[position] = math.nan
+    with pytest.raises(BadParameter):
+        fk.bound_certificate(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +310,66 @@ def test_a_trace_has_at_most_target_plus_one_rounds(build, mode, eps, c):
     trace = extract(build(), eps, c)
     assert trace.stop_reason == "coverage_reached"
     assert len(trace.rounds) <= trace.parameters["target"] + 1
+
+
+@pytest.mark.parametrize(
+    "extract, build",
+    [
+        (fk.extract_frame, lambda: fk.lemma51(10)),
+        (fk.extract_biorthogonal, lambda: fk.perturbed_pairs(5)),
+    ],
+    ids=["frame", "biorthogonal"],
+)
+def test_eps_just_below_one_extracts_one_vector(extract, build):
+    # the coverage target used to be 0 here, and the empty final subsystem was refused
+    trace = extract(build(), 0.9999999999)
+    assert trace.parameters["target"] == 1
+    assert (len(trace.rounds), len(trace.final_subset)) == (1, 1)
+    assert trace.stop_reason == "coverage_reached"
+
+
+def largest_feasible_delta(system, eps):
+    """The largest delta that extract_frame's feasibility check accepts."""
+    report = fk.frame_report(system)
+    lower, upper, alpha = report.lower_bound, report.upper_bound, report.min_norm
+    delta = math.sqrt((eps / 2.0 + 1e-12) * lower / upper) * alpha
+    while not (delta**2 / lower) * (upper / alpha**2) <= eps / 2.0 + 1e-12:
+        delta = math.nextafter(delta, 0.0)
+    return delta
+
+
+@st.composite
+def spanning_systems(draw):
+    """Real or complex n x m systems, n <= 10, m <= 4n, column norms over three decades."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.integers(n, 4 * n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = rng.standard_normal((n, m))
+    if draw(st.booleans()):
+        cols = cols + 1j * rng.standard_normal((n, m))
+    system = fk.VectorSystem(cols * 10.0 ** rng.uniform(-1.5, 1.5, m))
+    assume(fk.frame_report(system).is_spanning)
+    return system
+
+
+@given(
+    system=spanning_systems(),
+    eps=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+    c=st.sampled_from([0.3, 1.0]),
+    largest=st.booleans(),
+)
+def test_frame_rounds_keep_more_than_half_eps_n_residuals_above_delta(system, eps, c, largest):
+    # the counting argument of extract_frame: before coverage, more than eps n / 2
+    # residuals clear delta, so coverage is the only stop a frame run needs
+    override = largest_feasible_delta(system, eps) if largest else None
+    trace = fk.extract_frame(system, eps, c, delta_override=override)
+    delta, target, n = (trace.parameters[k] for k in ("delta", "target", "total"))
+    assert len(trace.final_subset) >= target
+    assert 1 <= len(trace.rounds) <= target
+    for round_ in trace.rounds:
+        assert round_.selected
+        pool = sum(norm >= delta * (1.0 - 1e-12) for norm in round_.residual_norms)
+        assert pool > eps * n / 2.0
 
 
 def test_a_seventy_round_extraction_reaches_coverage():

@@ -379,6 +379,34 @@ def test_builders_reject_non_finite_parameters(build):
 
 
 @pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: fk.random_frame(4, 3, 0), "needs m >= n"),
+        (lambda: fk.random_frame(4, 8, 0, 0.5), "at least 1, got 0.5"),
+        (lambda: fk.find_flat_vector(fk.lemma51(4), 0.0), "budget must be positive"),
+        (lambda: fk.find_flat_vector(fk.lemma51(4), math.nan), "budget must be positive"),
+        (lambda: gallery._flat_conditional_basis(-0.1, 0.45, 8), "budget must be positive"),
+        (lambda: gallery._flat_conditional_basis(math.nan, 0.45, 8), "budget must be positive"),
+        (lambda: fk.lemma52_block(2, 0.0), "eps must be positive"),
+        (lambda: fk.prop53_truncation(2, [0.1, -0.05]), "epsilon values must be positive"),
+    ],
+    ids=["random-m-below-n", "random-cond-below-1", "flat-budget-0", "flat-budget-nan",
+         "ladder-budget-negative", "ladder-budget-nan", "lemma52-eps-0", "prop53-eps-negative"],
+)
+def test_builders_reject_parameters_out_of_range(build, message):
+    with pytest.raises(BadParameter, match=message):
+        build()
+
+
+def test_flat_search_raises_not_flat_past_the_size_cap(monkeypatch):
+    # under a cap of 32 the ladder tries 17 and 33 vectors and may not double
+    # again; below 24, the fine rule's node count, the quadrature refuses first
+    monkeypatch.setattr(gallery, "FLAT_SIZE_CAP", 32)
+    with pytest.raises(NotFlat):
+        gallery._flat_conditional_basis(1e-12, 0.45, 8)
+
+
+@pytest.mark.parametrize(
     "build, int_form",
     [
         (lambda: fk.lemma51(4.0), lambda: fk.lemma51(4)),

@@ -241,6 +241,11 @@ def test_equivalence_infinite_when_kernels_differ():
     assert fk.equivalence_constant(dependent, independent) == math.inf
 
 
+def test_equivalence_of_two_identically_zero_systems_is_one():
+    zero = fk.VectorSystem(np.zeros((3, 2)))
+    assert fk.equivalence_constant(zero, fk.VectorSystem(np.zeros((2, 2)))) == 1.0
+
+
 def test_equivalence_shared_kernel_is_finite():
     dep = fk.duplicated(2)
     scaled = fk.VectorSystem(3.0 * dep.columns)

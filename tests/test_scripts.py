@@ -1,6 +1,7 @@
 """Smoke tests: the experiment scripts run end to end at small sizes."""
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -52,3 +53,19 @@ def test_code_lines_script_total_is_the_sum_of_the_modules():
     assert {name for _, name in modules} == {p.name for p in (ROOT / "src" / "framekit").glob("*.py")}
     assert all(int(count) > 0 for count, _ in modules)
     assert int(total) == sum(int(count) for count, _ in modules)
+
+
+def test_unexecuted_lines_script_lists_existing_statements():
+    proc = run_script("unexecuted_lines.py", str(ROOT / "tests" / "test_imports.py"), "-q",
+                      "-p", "no:cacheprovider")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    *lines, last = proc.stdout.splitlines()
+    total, label = last.split(" ", 1)
+    assert label == "statements never executed"
+    listed = [line for line in lines if re.match(r"\w+\.py:\d+: ", line)]
+    assert len(listed) == int(total) > 0
+    for line in listed:
+        location, source = line.split(": ", 1)
+        name, number = location.split(":")
+        text = (ROOT / "src" / "framekit" / name).read_text().splitlines()
+        assert text[int(number) - 1].strip() == source

@@ -63,6 +63,13 @@ def test_exhaustive_guard():
         fk.select_exhaustive(vs, vs.count // 2, max_subsets=1)
 
 
+def test_exhaustive_guard_refuses_a_nan_limit():
+    # n_subsets > nan is false, so a NaN guard used to enumerate every subset
+    vs = unit_norm_instance(0)
+    with pytest.raises(TooLarge, match="exceeds the guard nan"):
+        fk.select_exhaustive(vs, vs.count // 2, max_subsets=math.nan)
+
+
 def test_bad_targets():
     vs = fk.orthonormal(3)
     with pytest.raises(BadTarget):

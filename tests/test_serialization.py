@@ -50,6 +50,7 @@ def test_system_schema_rejects_dim_zero():
         lambda d: d.update(columns=d["columns"][:-1]),
         lambda d: d.update(columns=d["columns"][:-1] + [[1.0]]),
         lambda d: d.update(dim="two"),
+        lambda d: d.update(count=0),
         lambda d: d.update(labels=["a", "a"]),
         lambda d: d.update(labels=[1, 2]),
     ],
@@ -119,6 +120,13 @@ def test_trace_schema_rejects_non_list_final_subset(value):
     doc["final_subset"] = value
     with pytest.raises(SchemaError, match="final_subset"):
         ser.trace_from_json(doc)
+
+
+@pytest.mark.parametrize("text, value", [("inf", math.inf), ("-inf", -math.inf)])
+def test_trace_decodes_an_infinite_round_value(text, value):
+    doc = ser.trace_to_json(fk.extract_frame(fk.lemma51(6), 0.25))
+    doc["rounds"][0]["rule2_lower_bound"] = text
+    assert ser.trace_from_json(doc).rounds[0].rule2_lower_bound == value
 
 
 @pytest.mark.parametrize(
@@ -634,6 +642,8 @@ TEXT_MUTATIONS = {
         lambda t: t.replace('"v": 1}', f'"v": 1,{ESCAPED_SECOND_COLUMNS}}}')),
     "second dim key": _edit_tail(lambda t: t.replace('"v": 1}', '"v": 1,"dim": 3}')),
     "wrong dim": _edit_tail(lambda t: t.replace('"dim": 2', '"dim": 3')),
+    "dim zero": _edit_tail(lambda t: t.replace('"dim": 2', '"dim": 0')),
+    "dim a string": _edit_tail(lambda t: t.replace('"dim": 2', '"dim": "2"')),
     "labels of numbers": _edit_tail(
         lambda t: t.replace('"labels": ["a","b","c"]', '"labels": [1,2,3]')),
     "version 2": _edit_tail(lambda t: t.replace('"v": 1', '"v": 2')),
