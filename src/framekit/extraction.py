@@ -138,6 +138,23 @@ def _peel(system: VectorSystem, mode: str, parameters: dict) -> ExtractionTrace:
     Frame mode (parameters carry "delta") examines only residuals of norm at
     least delta; extract_frame shows that more than eps n / 2 of them remain
     in every round before coverage.
+
+    Every round takes at least one pick, for every n.  Its greedy stop is
+    bound < c sqrt(d_min) (1 - TIE_RTOL), d_min and d_max being the smallest
+    and largest diagonal entries of the Gram g that greedy_order ranks.  With
+    s = _gram_unit(d_max), an exact power of two, the first pick j ties the
+    largest diagonal: d_j / s (exact at that size) is at least
+    fl(d_max / s - fl(TIE_RTOL d_max / s)), so d_j >= d_max (1 - TIE_RTOL - 2u),
+    u = 2^-53, and its bound is the correctly rounded sqrt(d_j / s) times
+    sqrt(s).  As d_min <= d_max and c <= 1, that bound is at least
+    sqrt(d_min) sqrt(1 - TIE_RTOL - 2u) (1 - u), about
+    sqrt(d_min) (1 - TIE_RTOL / 2 - 2u), while the computed threshold (four
+    roundings) is at most sqrt(d_min) (1 - TIE_RTOL) (1 + u)^4, about
+    sqrt(d_min) (1 - TIE_RTOL + 4u): TIE_RTOL / 2 = 5e-13 exceeds 6u.  Both
+    sides read the same doubles of one diagonal, so no gap between two
+    summations of a norm enters.  greedy_order gets limit
+    target - len(selected) >= 1, so the loop adds a pick per round, a trace
+    has at most target rounds, and coverage is the only way out of it.
     """
     eps, c, target, total = (parameters[k] for k in ("eps", "c", "target", "total"))
     delta = parameters.get("delta")
@@ -146,9 +163,7 @@ def _peel(system: VectorSystem, mode: str, parameters: dict) -> ExtractionTrace:
     picked = np.arange(0)  # positions in resid of the previous round's picks
     selected: list[int] = []
     rounds: list[ExtractionRound] = []
-    # Ends by itself: each round adds at least one pick or raises GuaranteeEmpty,
-    # since greedy_order gets limit target - len(selected) >= 1; so a trace has
-    # at most target rounds, and coverage is the only way out of the loop.
+    # ends by itself: every round adds a pick (see the docstring)
     while len(selected) < target:
         index = len(rounds) + 1
         if picked.size:
@@ -169,19 +184,17 @@ def _peel(system: VectorSystem, mode: str, parameters: dict) -> ExtractionTrace:
                 coeff = c / np.float64(parameters["upper_bound"]) ** 2
                 step = coeff / np.float64(delta) ** 2 if index > 1 and coeff > 0.0 else 0.0
                 rule2 = float(coeff * total + (index - 1) * step * (eps / 2.0) * total)
-        floor = float(np.min(norms[pool]))
-        if floor <= 0.0:
+        # frame pools are >= delta > 0; a biorthogonal 0.0 is ruled out only for n u < RANK_RTOL
+        if np.min(norms[pool]) <= 0.0:
             raise GuaranteeEmpty("all residuals vanished before reaching coverage")
         work = resid[:, pool]
-        normalized = bool(selected)
-        if normalized:
-            work, floor = work / norms[pool], 1.0
+        if index > 1:
+            work = work / norms[pool]
         guarantee = bt_guarantee_size(len(pool), _operator_norm(work), c)
-        order, bounds = greedy_order(gram(work), target - len(selected), stop_below=c * floor)
-        if not order:
-            raise GuaranteeEmpty(
-                f"round {index}: guarantee size {guarantee} and no certifiable pick"
-            )
+        g = gram(work)
+        floor = math.sqrt(np.diagonal(g).real.min())
+        order, bounds = greedy_order(g, target - len(selected), stop_below=c * floor)
+        del g  # else it stays beside the next round's Gram, raising the peak by one m x m array
         picked = pool[order]
         chosen = tuple(remaining[picked].tolist())
         selected.extend(chosen)
@@ -193,7 +206,7 @@ def _peel(system: VectorSystem, mode: str, parameters: dict) -> ExtractionTrace:
                 selected=chosen,
                 certified_bound=float(bounds[-1]),
                 bt_target=guarantee,
-                normalized=normalized,
+                normalized=index > 1,
                 coverage=len(selected) / total,
                 rule2_lower_bound=rule2,
             )
@@ -271,8 +284,8 @@ def extract_frame(
     > eps n / 2.  The slacks (1e-9 in coverage_target, 1e-12 in the feasibility
     check and the pool threshold) and roundoff in A, B and alpha can void this
     only when eps n lies within about 1e-9 + 1e-12 n below an integer; there
-    the loop still picks until coverage or raises GuaranteeEmpty.  The pool is
-    never empty: that would need (n - k) A < eps A n / 2.
+    the loop still takes a pick per round until coverage (see _peel).  The
+    pool is never empty: that would need (n - k) A < eps A n / 2.
 
     A delta_override that is not positive, or that violates the
     inequality (as one whose square overflows does), raises InfeasibleDelta; a

@@ -278,7 +278,7 @@ def weighted_exponential_gram(a: float, max_frequency: int, sign) -> np.ndarray:
     closed_diag = 2.0 * math.pi ** (1.0 + w_exp) / (1.0 + w_exp)
     if abs(fine[0] - closed_diag) > 1e-9 * max(1.0, closed_diag):
         raise QuadratureFailure(
-            f"diagonal {fine[0]!r} misses closed form {closed_diag!r}"
+            f"diagonal {float(fine[0])!r} misses closed form {closed_diag!r}"
         )
     freqs = _frequency_ladder(max_frequency, signum)
     gram = fine[np.abs(np.subtract.outer(freqs, freqs))]

@@ -201,16 +201,30 @@ def _pairs_well_typed(pairs: list) -> bool:
     return all(issubclass(k, (int, float)) and not issubclass(k, bool) for k in entry_kinds)
 
 
+def _pair_fault(pair) -> str:
+    """What keeps one pair from decoding, or "" when it decodes."""
+    if not _pairs_well_typed([pair]):
+        return "expected an [re, im] pair"
+    try:
+        complex(pair[0], pair[1])
+    except OverflowError:
+        return "entry too large for a double"
+    return ""
+
+
 def _pair_error(pairs: list) -> SchemaError:
-    """The error for the first pair that is malformed or has an entry too large for a double."""
-    for pos, pair in enumerate(pairs):
-        if not _pairs_well_typed([pair]):
-            return SchemaError(f"field 'columns'[{pos}]: expected an [re, im] pair")
-        try:
-            complex(pair[0], pair[1])
-        except OverflowError:
-            return SchemaError(f"field 'columns'[{pos}]: entry too large for a double")
-    return SchemaError("field 'columns': malformed [re, im] pairs")
+    """The error for the first pair that is malformed or has an entry too large for a double.
+
+    Its one caller, _flat_pairs, runs on the dim * count >= 1 pairs that
+    _columns_of_pairs counted, and calls it only when _pairs_well_typed refused
+    them or np.fromiter could not convert them.  _pairs_well_typed of a
+    nonempty list is the conjunction of _pairs_well_typed of each pair, and
+    complex() refuses exactly the ints too large for a double that np.fromiter
+    refuses, so some pair has a fault.  Were that false, next() would raise
+    StopIteration rather than return no error.
+    """
+    pos, fault = next((pos, fault) for pos, fault in enumerate(map(_pair_fault, pairs)) if fault)
+    return SchemaError(f"field 'columns'[{pos}]: {fault}")
 
 
 def save_system(system: VectorSystem, path) -> None:

@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 import framekit as fk
 from framekit.errors import (
     BadParameter,
+    GuaranteeEmpty,
     InfeasibleDelta,
     NotSeparated,
     NotSpanning,
     ZeroNorm,
 )
+from framekit.metrics import separation_and_norm
 
 
 def perturbed_in_onb(n=10, delta=0.1):
@@ -304,12 +306,13 @@ def test_termination_cases_cover_every_gallery_kind():
 
 
 @pytest.mark.parametrize("build,mode,eps,c", termination_cases())
-def test_a_trace_has_at_most_target_plus_one_rounds(build, mode, eps, c):
-    # each round takes a pick, breaks or raises, and a run needs at most target picks
+def test_a_trace_has_at_most_target_rounds_each_with_a_pick(build, mode, eps, c):
+    # each round takes a pick, and a run needs at most target picks
     extract = fk.extract_frame if mode == "frame" else fk.extract_biorthogonal
     trace = extract(build(), eps, c)
     assert trace.stop_reason == "coverage_reached"
-    assert len(trace.rounds) <= trace.parameters["target"] + 1
+    assert len(trace.rounds) <= trace.parameters["target"]
+    assert all(round_.selected for round_ in trace.rounds)
 
 
 @pytest.mark.parametrize(
@@ -370,6 +373,44 @@ def test_frame_rounds_keep_more_than_half_eps_n_residuals_above_delta(system, ep
         assert round_.selected
         pool = sum(norm >= delta * (1.0 - 1e-12) for norm in round_.residual_norms)
         assert pool > eps * n / 2.0
+
+
+@given(
+    system=spanning_systems(),
+    mode=st.sampled_from(["frame", "biorthogonal"]),
+    eps=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+    c=st.sampled_from([0.3, 1.0]),
+    exponent=st.sampled_from([0, 260]),
+)
+def test_every_round_selects_at_least_one_vector(system, mode, eps, c, exponent):
+    # _peel's proof: a round's first pick clears its greedy stop, whatever n.  The
+    # conjugate transpose of a spanning system has independent columns; at 2^260
+    # their Gram diagonal lies past 2^500, so greedy ranks in units of _gram_unit != 1
+    # (a frame that large is refused: its default delta overflows on the way)
+    if mode == "frame":
+        trace = fk.extract_frame(system, eps, c)
+    else:
+        system = fk.VectorSystem(system.columns.conj().T * 2.0**exponent)
+        assume(separation_and_norm(system)[0] > fk.DEFAULT_TOLERANCE)
+        trace = fk.extract_biorthogonal(system, eps, c)
+    target = trace.parameters["target"]
+    assert len(trace.final_subset) >= target
+    assert 1 <= len(trace.rounds) <= target
+    assert all(round_.selected for round_ in trace.rounds)
+
+
+def test_a_biorthogonal_residual_of_zero_raises_guarantee_empty(monkeypatch):
+    # the check _peel keeps: it guards the division by the residual norms
+    column_norms = fk.extraction._column_norms
+
+    def with_a_zero(columns):
+        norms = column_norms(columns)
+        norms[-1] = 0.0
+        return norms
+
+    monkeypatch.setattr(fk.extraction, "_column_norms", with_a_zero)
+    with pytest.raises(GuaranteeEmpty, match="^all residuals vanished before reaching coverage$"):
+        fk.extract_biorthogonal(fk.orthonormal(4), 0.5)
 
 
 def test_a_seventy_round_extraction_reaches_coverage():

@@ -237,3 +237,40 @@ def test_deepest_admitted_panel_is_finite(w_exp):
     assert np.all(np.isfinite(values))
     with pytest.raises(QuadratureFailure, match="smallest normal double"):
         fk.weight_fourier_integrals(w_exp, 4, depth=1024)
+
+
+def _drifted(values, fine):
+    return values + 1e-6 if fine else values
+
+
+def _off_closed_form(values, fine):
+    return np.concatenate([[values[0] * (1.0 + 1e-6)], values[1:]])
+
+
+def _indefinite(values, fine):
+    # every off-diagonal entry 1.5 I(0): the Gram is I(0) (1.5 J - 0.5 Id), with
+    # eigenvalue -0.5 I(0) on the vectors orthogonal to the ones vector
+    return np.concatenate([values[:1], np.full(values.size - 1, 1.5 * values[0])])
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_drifted, r"quadrature disagreement 1\.000e-06 exceeds 1e-8"),
+        (_off_closed_form, r"diagonal 7\.0898\d+ misses closed form 7\.0898154036220635"),
+        (_indefinite, r"Gram matrix not PSD: min eigenvalue -3\.545e\+00"),
+    ],
+    ids=["coarse-fine-drift", "diagonal-off-closed-form", "indefinite-gram"],
+)
+def test_weighted_exponential_gram_refuses_integrals_that_fail_its_checks(
+    monkeypatch, corrupt, message
+):
+    # a = 0.25, sign -1: w = -0.5 and the closed-form diagonal 4 sqrt(pi) = 7.0898...
+    integrals = gallery.weight_fourier_integrals
+
+    def corrupted(weight_exponent, max_delta, **fine_rule):
+        return corrupt(integrals(weight_exponent, max_delta, **fine_rule), bool(fine_rule))
+
+    monkeypatch.setattr(gallery, "weight_fourier_integrals", corrupted)
+    with pytest.raises(QuadratureFailure, match=f"^{message}$"):
+        fk.weighted_exponential_gram(0.25, 1, -1)
