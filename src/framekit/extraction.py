@@ -34,7 +34,7 @@ from .errors import (
     ZeroNorm,
 )
 from .metrics import _operator_norm, _upper_frame_bound, riesz_constant, separation_and_norm
-from .selection import bt_guarantee_size, greedy_order
+from .selection import _gram_unit, bt_guarantee_size, greedy_order
 
 
 @dataclass(frozen=True)
@@ -255,11 +255,17 @@ def extract_biorthogonal(system: VectorSystem, eps: float, c: float = 0.1) -> Ex
 def default_delta(eps: float, lower: float, upper: float, min_norm: float) -> float:
     """Largest residual threshold satisfying the feasibility inequality with equality.
 
-    Inf, 0.0 or NaN, not an exception or a warning, when the product leaves
-    the double range; extract_frame refuses such a delta.
+    Computed as sqrt(s) sqrt(eps A a^2 / (2 B)) with a = alpha / sqrt(s) and
+    s = _gram_unit(upper), an even power of two that is exactly 1.0 while
+    upper lies in [2^-500, 2^500], so such bounds keep their bits.  As
+    alpha^2 <= B, a^2 < 4 past that range, and the product leaves the double
+    range only for bounds within a factor 4 of the largest double, or when
+    it underflows (alpha below about 2^-537 sqrt(B)).  Such a delta reads
+    inf, 0.0 or NaN, not an exception or a warning; extract_frame refuses it.
     """
+    root = math.sqrt(_gram_unit(upper))  # exact: the unit is an even power of two
     with np.errstate(all="ignore"):
-        return float(np.sqrt(eps * lower * np.float64(min_norm) ** 2 / (2.0 * upper)))
+        return float(root * np.sqrt(eps * lower * np.float64(min_norm / root) ** 2 / (2.0 * upper)))
 
 
 def extract_frame(

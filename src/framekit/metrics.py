@@ -15,7 +15,7 @@ cols = Q R of the m independent columns, in the m x m coordinates of R:
   Q [[I, R12 R22^-1], [0, 0]] Q^H with R12 = R[:p, p:] and R22 = R[p:, p:],
   so its norm is sqrt(1 + ||R12 R22^-1||^2).  The block-triangular inverse
   gives R12 R22^-1 = -R11 (R^-1)12, so separation and every prefix read the
-  one R^-1 that a single triangular solve forms.
+  one R^-1 that a single triangular inverse forms.
 
 The singular values of R are those of cols.  Columns that are dependent (more
 vectors than dimensions, or rank below m at relative tolerance RANK_RTOL) have
@@ -113,13 +113,13 @@ def _operator_norm(mat: np.ndarray) -> float:
 
 
 def _separation(r: np.ndarray | None) -> tuple[float, np.ndarray | None]:
-    """(min_j 1 / ||row j of R^-1||, R^-1) from one triangular solve, or (0.0, None)."""
+    """(min_j 1 / ||row j of R^-1||, R^-1) from one triangular inverse, or (0.0, None)."""
     if r is None:
         return 0.0, None
-    # imported at first use, so that importing framekit (every CLI call) does not load scipy
-    import scipy.linalg
-
-    r_inv = scipy.linalg.solve_triangular(r, np.eye(r.shape[0], dtype=r.dtype))
+    # Fortran order, as a LAPACK triangular solve returns R^-1: np.linalg.norm(r_inv,
+    # axis=1) sums each row in the order of the layout, and a C-order inverse moves
+    # some separations by an ulp
+    r_inv = np.asfortranarray(np.linalg.inv(r))
     # a row of R^-1 below about 1e-162 has a norm that squares to 0: its distance
     # is then past sqrt(DBL_MAX), and so is sigma_max, which analyze and
     # extract refuse; the separation reads inf without a warning.  A row above

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import FACTORIZATIONS
+from test_imports import run_in_a_fresh_cli
 from test_real_arithmetic import REAL_SYSTEMS
 
 import framekit as fk
@@ -361,6 +362,52 @@ def test_sweep_deterministic_and_ordered(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "sweep", "--plan", str(plan_path))
     assert code == 0
     assert (tmp_path / "sweep.csv").read_bytes() == first
+
+
+# one small spec per gallery kind
+DETERMINISM_SPECS = {
+    "orthonormal": {"n": 5},
+    "lemma51": {"n": 8},
+    "duplicated": {"n": 4},
+    "perturbedPairs": {"n": 6},
+    "weightedExponentials": {"a": 0.25, "N": 16, "sign": 1},
+    "lemma52Block": {"k": 2, "eps": 0.1},
+    "prop53Truncation": {"M": 2, "epsilons": [0.2, 0.2]},
+    "randomFrame": {"n": 12, "m": 24, "seed": 5, "cond": 1e4},
+}
+
+
+def test_two_fresh_processes_write_identical_bytes(tmp_path):
+    # the README guarantee: same numpy/BLAS build and BLAS thread count (both
+    # processes inherit this one's environment), identical bytes
+    assert sorted(DETERMINISM_SPECS) == sorted(fk.GALLERY_KINDS)
+    runs = []
+    for name in ("first", "second"):
+        work = tmp_path / name
+        work.mkdir()
+        argvs = [
+            ["gen", "--spec", json.dumps({"kind": kind, **params}), "--out", str(work / kind)]
+            for kind, params in DETERMINISM_SPECS.items()
+        ]
+        argvs.append(["extract", "--in", str(work / "randomFrame"), "--mode", "frame",
+                      "--eps", "0.25", "--c", "0.8", "--out", str(work / "trace")])
+        plan = {
+            "generator": {"kind": "randomFrame", "n": 8, "m": 16, "cond": 100.0},
+            "sweep": {"name": "n", "values": [8, 12]},
+            "extract": {"mode": "frame", "eps": 0.25, "c": 0.1},
+            "out": str(work / "sweep.csv"),
+            "seed": 3,
+        }
+        (tmp_path / f"{name}.plan.json").write_text(json.dumps(plan))
+        argvs.append(["sweep", "--plan", str(tmp_path / f"{name}.plan.json")])
+        commands = run_in_a_fresh_cli(argvs)[1]
+        stdout = [command["out"].replace(str(work), "<work>") for command in commands]
+        runs.append((stdout, {p.name: p.read_bytes() for p in sorted(work.iterdir())}))
+    (stdout, files), (stdout_again, files_again) = runs
+    assert len(files) == len(DETERMINISM_SPECS) + 2  # the systems, the trace and the CSV
+    assert stdout_again == stdout
+    for name, data in files.items():
+        assert files_again[name] == data, name
 
 
 def test_sweep_biorthogonal_records_bound(tmp_path, capsys):

@@ -386,9 +386,8 @@ def test_every_round_selects_at_least_one_vector(system, mode, eps, c, exponent)
     # _peel's proof: a round's first pick clears its greedy stop, whatever n.  The
     # conjugate transpose of a spanning system has independent columns; at 2^260
     # their Gram diagonal lies past 2^500, so greedy ranks in units of _gram_unit != 1
-    # (a frame that large is refused: its default delta overflows on the way)
     if mode == "frame":
-        trace = fk.extract_frame(system, eps, c)
+        trace = fk.extract_frame(fk.VectorSystem(system.columns * 2.0**exponent), eps, c)
     else:
         system = fk.VectorSystem(system.columns.conj().T * 2.0**exponent)
         assume(separation_and_norm(system)[0] > fk.DEFAULT_TOLERANCE)

@@ -7,10 +7,12 @@ source and checks every ``LOAD_GLOBAL``/``LOAD_NAME`` against the imported
 module's namespace, so such a fault fails here even on a path no other test
 reaches.
 
-Importing scipy.linalg takes longer than all of framekit, so framekit imports it
-only where it solves with it, at first use.  A fresh interpreter checks that the
-CLI commands which need no scipy solver never load it.
+framekit depends on numpy alone; scipy is a test-only reference.  An AST scan
+checks that no framekit module imports it, pyproject.toml lists numpy as the
+one runtime dependency, and a fresh interpreter checks that no CLI command
+loads scipy.
 """
+import ast
 import builtins
 import dis
 import importlib
@@ -18,6 +20,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
@@ -123,6 +126,45 @@ def test_scan_flags_an_unread_private_helper():
     ]
 
 
+def scipy_imports(source, filename="<source>"):
+    """Line numbers of the import statements in source that name scipy or a scipy module."""
+    lines = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_module_does_not_import_scipy(module_name):
+    module = importlib.import_module(module_name)
+    assert scipy_imports(inspect.getsource(module), module.__file__) == []
+
+
+def test_scan_flags_a_function_local_scipy_import():
+    source = (
+        "import numpy\n\ndef inverse(r):\n    import scipy.linalg\n"
+        "    return scipy.linalg.inv(r)\n\nfrom scipy import linalg\nfrom . import scipyish\n"
+    )
+    assert scipy_imports(source) == [4, 7]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(framekit.__file__).resolve().parents[2] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    names = [re.match(r"[\w.-]+", requirement).group() for requirement in project["dependencies"]]
+    assert names == ["numpy"]
+    # the tests keep scipy as a reference
+    assert any(re.match(r"scipy\b", r) for r in project["optional-dependencies"]["test"])
+
+
 # A fresh interpreter imports framekit.cli, runs each command line of argv[1]
 # through main, and reports after each which scipy modules are loaded.
 FRESH_CLI = """
@@ -161,7 +203,7 @@ def run_in_a_fresh_cli(argvs):
     return report["after import"], report["commands"]
 
 
-def test_the_cli_loads_scipy_only_where_it_solves_with_it(tmp_path, capsys):
+def test_no_cli_command_loads_scipy(tmp_path, capsys):
     small, pairs = str(tmp_path / "prop53.json"), str(tmp_path / "pairs.json")
     plan = tmp_path / "plan.json"
     plan.write_text(json.dumps({
@@ -187,13 +229,13 @@ def test_the_cli_loads_scipy_only_where_it_solves_with_it(tmp_path, capsys):
 
     after_import, commands = run_in_a_fresh_cli(without_scipy + [analyze])
     assert after_import == []
-    for command in commands[:-1]:
+    for command in commands:
         assert command["scipy"] == [], command["argv"]
-    # each solving command loads scipy.linalg itself, in a process where nothing else had
-    solving = [commands[-1], run_in_a_fresh_cli([extract])[1][0]]
+    # the commands that read R^-1 write the same bytes in a process where scipy is loaded
+    inverting = [commands[-1], run_in_a_fresh_cli([extract])[1][0]]
     trace_bytes = trace.read_bytes()
-    for command in solving:
-        assert "scipy.linalg" in command["scipy"], command["argv"]
+    for command in inverting:
+        assert command["scipy"] == [], command["argv"]
         assert main(command["argv"]) == 0
         assert capsys.readouterr().out == command["out"], command["argv"]
     assert trace.read_bytes() == trace_bytes

@@ -556,19 +556,61 @@ def test_operator_norm_of_zero_is_exactly_zero(dtype):
 
 @pytest.mark.parametrize("routine", [fk.basis_metrics, fk.schauder_basis_constant])
 @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-def test_basis_takes_one_triangular_solve_and_one_eigvalsh_per_prefix(monkeypatch, routine, real):
+def test_basis_takes_one_triangular_inverse_and_one_eigvalsh_per_prefix(monkeypatch, routine, real):
     # np.linalg.norm(x, 2) runs its SVD inside numpy, out of reach of the
     # conftest patches, so count by routine name here
     m = 7
     cols = fk.random_frame(m, m, 4, 1e4).columns
     vs = fk.VectorSystem(cols.real if real else cols)
     calls = []
-    for module, name in [(scipy.linalg, "solve_triangular"), (np.linalg, "eigvalsh")]:
+    for module, name in [(np.linalg, "inv"), (np.linalg, "eigvalsh")]:
         def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
     routine(vs, order=np.random.default_rng(m).permutation(m))
-    assert calls.count("solve_triangular") == 1
+    assert calls.count("inv") == 1
     assert calls.count("eigvalsh") == m - 1
+
+
+# the R of each independent basis that the analyze-bases benchmark analyzes
+ANALYZE_BASES = {
+    "perturbedPairs n=80": lambda: fk.perturbed_pairs(80),
+    "weightedExponentials sign=+1": lambda: fk.weighted_exponentials(0.25, 64, 1),
+    "weightedExponentials sign=-1": lambda: fk.weighted_exponentials(0.25, 64, -1),
+    "lemma52Block k=3": lambda: fk.lemma52_block(3, 0.1),
+}
+
+
+def _random_columns(m, real):
+    rng = np.random.default_rng(m)
+    cols = rng.standard_normal((m + 3, m))
+    return cols if real else cols + 1j * rng.standard_normal((m + 3, m))
+
+
+def assert_inverse_matches_triangular_solve(r):
+    r_inv = metrics._separation(r)[1]
+    reference = scipy.linalg.solve_triangular(r, np.eye(r.shape[0], dtype=r.dtype))
+    assert r_inv.dtype == reference.dtype == r.dtype
+    assert r_inv.flags.f_contiguous and reference.flags.f_contiguous
+    # every bit on and above the diagonal.  Below it both are zero, but the
+    # imaginary part of a complex zero may differ in sign there, which neither
+    # the row norms nor the Schauder blocks R[:p, :p] (R^-1)[:p, p:] read
+    assert np.triu(r_inv).tobytes("F") == np.triu(reference).tobytes("F")
+    assert not np.tril(r_inv, -1).any() and not np.tril(reference, -1).any()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 200])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_inverse_matches_the_triangular_solve_on_random_factors(m, real):
+    r = metrics._factor(_random_columns(m, real))[1]
+    assert r.shape == (m, m) and r.dtype == (float if real else complex)
+    assert_inverse_matches_triangular_solve(r)
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_BASES))
+def test_inverse_matches_the_triangular_solve_on_the_analyzed_bases(name):
+    r = metrics._factor(ANALYZE_BASES[name]().columns)[1]
+    assert r is not None
+    assert_inverse_matches_triangular_solve(r)

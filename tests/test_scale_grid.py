@@ -104,10 +104,28 @@ def test_frame_extract_is_exact_under_power_of_two_scaling(tmp_path, name, k):
     strict_loads((tmp_path / "trace.json").read_text())
 
 
-@pytest.mark.parametrize("k", [-300, 300])
-def test_default_delta_out_of_the_double_range_is_refused_by_name(k):
-    # eps A alpha^2 / (2 B) scales by 2^(2k): 0.0 at 2^-600 and inf at 2^600
-    system = fk.VectorSystem(fk.lemma51(6).columns * 2.0**k)
+@pytest.mark.parametrize(
+    "system, k",
+    [(fk.VectorSystem([[7.76]]), 260)] + [(fk.lemma51(6), k) for k in (-300, 260, 300)],
+    ids=["1x1-260", "lemma51-minus300", "lemma51-260", "lemma51-300"],
+)
+def test_default_delta_scales_with_the_system(system, k):
+    # eps A alpha^2 scales by 2^(4k), past the double range at k = -300 and 260;
+    # delta itself scales by 2^k
+    plain = fk.extract_frame(system, 0.25)
+    scaled = fk.extract_frame(fk.VectorSystem(system.columns * 2.0**k), 0.25)
+    assert scaled.stop_reason == "coverage_reached"
+    assert len(scaled.final_subset) >= scaled.parameters["target"]
+    assert scaled.final_subset == plain.final_subset
+    assert scaled.parameters["delta"] / 2.0**k == pytest.approx(
+        plain.parameters["delta"], rel=1e-14, abs=0.0
+    )
+
+
+def test_default_delta_out_of_the_double_range_is_refused_by_name():
+    # A = B = 1 and alpha^2 = 2^-1072, so eps A alpha^2 / (2 B) = 2^-1075, which
+    # rounds to 0.0
+    system = fk.VectorSystem([[1.0, 2.0**-536]])
     with pytest.raises(fk.BadParameter, match="default delta is not a positive finite double"):
         fk.extract_frame(system, 0.25)
 
