@@ -41,7 +41,7 @@ def gram(columns: np.ndarray) -> np.ndarray:
 
     An entry past the largest double comes out inf or nan without a numpy
     warning: the callers that factor a Gram or a frame operator refuse it with
-    one BadParameter diagnostic (OperatorPower._of_operator, select_exhaustive).
+    one BadParameter diagnostic (OperatorPower.compute, select_exhaustive).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         g = columns.conj().T @ columns
@@ -166,52 +166,56 @@ class FrameReport:
 
 @dataclass(frozen=True, eq=False)
 class OperatorPower:
-    """Spectral data of the frame operator, prepared for taking real powers.
+    """Spectral data of the frame operator S = F F^*, prepared for taking real powers.
 
     Its eigh is the one factorization of a frame operator in framekit: the
-    frame bounds, S^exponent and gallery.find_flat_vector's bottom eigenvector
-    all read it.  For a system with no nonzero imaginary part S is float64,
-    and so are the eigenvectors and every matrix S^exponent built from them.
+    frame bounds, every power S^exponent and gallery.find_flat_vector's
+    bottom eigenvector all read it.  For a system with no nonzero imaginary
+    part S is float64, and so are the eigenvectors and every matrix
+    S^exponent built from them.
     """
 
-    exponent: float
     eigenvalues: np.ndarray  # nonincreasing, all >= 0
     eigenvectors: np.ndarray  # unitary, column k pairs with eigenvalues[k]
 
     @classmethod
-    def compute(cls, system: VectorSystem, exponent: float) -> "OperatorPower":
-        return cls._of_operator(frame_operator(system), exponent)
+    def compute(cls, system: VectorSystem) -> "OperatorPower":
+        """The spectral data of the frame operator of system.
 
-    @classmethod
-    def _of_operator(cls, s: np.ndarray, exponent: float) -> "OperatorPower":
-        """compute, for the frame operator s already formed.
-
-        An s with an entry past the largest double (a column entry above about
-        1.3e154 squares to inf) has no eigenvalues LAPACK can compute; it is
-        refused with BadParameter.
+        S is formed here and nowhere else in framekit.  An S with an entry
+        past the largest double (a column entry above about 1.3e154 squares
+        to inf) has no eigenvalues LAPACK can compute; it is refused with
+        BadParameter.
         """
+        s = frame_operator(system)
         if not np.all(np.isfinite(s)):
             raise BadParameter("frame operator S = F F^* has an entry that is not a finite double")
         vals, vecs = np.linalg.eigh(s)
-        vals = np.maximum(vals[::-1], 0.0)
-        vecs = vecs[:, ::-1]
-        return cls(float(exponent), vals, vecs)
+        return cls(np.maximum(vals[::-1], 0.0), vecs[:, ::-1])
 
     @property
     def bounds(self) -> tuple[float, float]:
         """The frame bounds (A, B): the extreme eigenvalues of S, clipped at zero."""
         return float(self.eigenvalues[-1]), float(self.eigenvalues[0])
 
-    def matrix(self) -> np.ndarray:
-        """Materialize S^exponent, treating eigenvalues under DEFAULT_TOLERANCE*max as zero."""
-        cutoff = DEFAULT_TOLERANCE * (self.eigenvalues[0] if self.eigenvalues.size else 0.0)
+    def matrix(self, exponent: float) -> np.ndarray:
+        """Materialize S^exponent, treating eigenvalues under DEFAULT_TOLERANCE*max as zero.
+
+        A negative exponent of a singular S raises NotSpanning.  An S^exponent
+        with an entry past the double range (S^-1 of a frame scaled by 1e-160,
+        say) is refused with BadParameter, without a numpy warning.
+        """
+        cutoff = DEFAULT_TOLERANCE * self.eigenvalues[0]
         vals = np.where(self.eigenvalues > cutoff, self.eigenvalues, 0.0)
-        if self.exponent < 0 and np.any(vals == 0.0):
+        if exponent < 0 and np.any(vals == 0.0):
             raise NotSpanning("negative power of a singular frame operator")
-        with np.errstate(divide="ignore"):
-            powered = np.where(vals > 0.0, vals ** self.exponent, 0.0)
-        out = (self.eigenvectors * powered) @ self.eigenvectors.conj().T
-        return 0.5 * (out + out.conj().T)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            powered = np.where(vals > 0.0, vals ** exponent, 0.0)
+            out = (self.eigenvectors * powered) @ self.eigenvectors.conj().T
+            out = 0.5 * (out + out.conj().T)
+        if not np.all(np.isfinite(out)):
+            raise BadParameter(f"S^{exponent:g} has an entry that is not a finite double")
+        return out
 
 
 def synthesis_apply(system: VectorSystem, coeffs) -> np.ndarray:
@@ -244,7 +248,7 @@ def frame_operator(system: VectorSystem) -> np.ndarray:
 
 def frame_bounds(system: VectorSystem) -> tuple[float, float]:
     """Extreme eigenvalues (A, B) of the frame operator, clipped at zero."""
-    return OperatorPower.compute(system, 1.0).bounds
+    return OperatorPower.compute(system).bounds
 
 
 def frame_report(system: VectorSystem, tolerance: float = DEFAULT_TOLERANCE) -> FrameReport:
@@ -290,12 +294,12 @@ def power_transform(system: VectorSystem, exponent: float) -> VectorSystem:
     """
     if exponent == 1:
         return system
-    return _apply_power(system, OperatorPower.compute(system, (exponent - 1) / 2.0))
+    return _apply_power(system, OperatorPower.compute(system).matrix((exponent - 1) / 2.0))
 
 
-def _apply_power(system: VectorSystem, power: OperatorPower) -> VectorSystem:
-    """Map each vector f_i to S^power.exponent f_i, with S's spectral data in power."""
-    return VectorSystem(power.matrix() @ _arithmetic(system.columns), system.labels)
+def _apply_power(system: VectorSystem, power: np.ndarray) -> VectorSystem:
+    """Map each vector f_i to power @ f_i, for power a matrix S^e of the frame operator."""
+    return VectorSystem(power @ _arithmetic(system.columns), system.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,7 +322,7 @@ def canonical_dual_reconstruct(system: VectorSystem, f) -> DualReconstruction:
     vec = np.asarray(f, dtype=np.complex128).reshape(-1)
     if vec.shape[0] != system.dim:
         raise DimensionMismatch(f"expected a dim-{system.dim} vector, got {vec.shape[0]}")
-    return _dual_reconstruct(system, OperatorPower.compute(system, -1.0).matrix(), vec)
+    return _dual_reconstruct(system, OperatorPower.compute(system).matrix(-1.0), vec)
 
 
 def _dual_reconstruct(

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OperatorPower, VectorSystem, _column_norms, frame_operator
+from .core import OperatorPower, VectorSystem, _column_norms
 from .errors import BadParameter, EmptyInput, NotFlat, QuadratureFailure
 from .metrics import schauder_basis_constant, smallest_singular_value
 
@@ -322,7 +322,7 @@ def find_flat_vector(system: VectorSystem, budget: float) -> np.ndarray:
     """
     if not budget > 0.0:  # also rejects NaN
         raise BadParameter("budget must be positive")
-    return _bottom_vector(OperatorPower._of_operator(frame_operator(system), 1.0), budget)
+    return _bottom_vector(OperatorPower.compute(system), budget)
 
 
 def _bottom_vector(power: OperatorPower, budget: float) -> np.ndarray:
@@ -397,7 +397,7 @@ def _flat_conditional_basis(
     while True:
         if max_frequency not in ladder:
             system = weighted_exponentials(a, max_frequency, +1, normalized=True)
-            ladder[max_frequency] = system, OperatorPower._of_operator(frame_operator(system), 1.0)
+            ladder[max_frequency] = system, OperatorPower.compute(system)
         system, power = ladder[max_frequency]
         try:
             flat = _bottom_vector(power, budget)

@@ -239,7 +239,6 @@ def test_verifications_form_the_frame_operator_once(monkeypatch, canonical, form
         return _original(system)
 
     monkeypatch.setattr(fk.core, "frame_operator", counted)
-    monkeypatch.setattr(fk.cli, "frame_operator", counted)
     _run_verifications(fk.lemma51(10), canonical)
     assert len(calls) == formed
 
@@ -566,6 +565,27 @@ def test_sweep_nan_delta_exits_two(tmp_path, capsys):
     assert json.loads(err)["error"] == "InfeasibleDelta"
 
 
+@pytest.mark.parametrize("delta", ["-5", "nan", "0.1"])
+def test_extract_and_sweep_refuse_a_delta_in_biorthogonal_mode(tmp_path, capsys, delta):
+    refusal = {"error": "BadParameter", "message": "delta applies to frame mode only"}
+    sys_path, trace = tmp_path / "pp.json", tmp_path / "trace.json"
+    ser.save_system(fk.perturbed_pairs(6), sys_path)
+    argv = ("--in", str(sys_path), "--mode", "biorthogonal", "--eps", "0.25", "--delta", delta)
+    code, out, err = run_cli(capsys, "extract", *argv, "--out", str(trace))
+    assert (code, out, json.loads(err)) == (2, "", refusal)
+    assert not trace.exists()
+    plan = {
+        "generator": {"kind": "perturbedPairs", "n": 6},
+        "sweep": {"name": "n", "values": [6]},
+        "extract": {"mode": "biorthogonal", "eps": 0.25, "delta": float(delta)},
+        "out": str(tmp_path / "sweep.csv"),
+    }
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    code, out, err = run_cli(capsys, "sweep", "--plan", str(tmp_path / "plan.json"))
+    assert (code, out, json.loads(err)) == (2, "", refusal)
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize(
     "spec",
     [
@@ -684,13 +704,13 @@ def formed_operators(monkeypatch):
         return _original(system)
 
     monkeypatch.setattr(fk.core, "frame_operator", counted)
-    monkeypatch.setattr(fk.cli, "frame_operator", counted)
     return calls
 
 
 def test_analyze_factors_the_columns_once(tmp_path, capsys, factorization_calls, formed_operators):
     system = fk.generate(fk.GallerySpec("prop53Truncation", {"M": 2, "epsilons": [0.2, 0.2]}))
     assert (system.dim, system.count) == (165, 332)
+    formed_operators.clear()
     path = tmp_path / "system.json"
     ser.save_system(system, path)
     factorization_calls.clear()
@@ -857,6 +877,40 @@ def test_verify_lemmas_factors_each_frame_operator_exactly_once(
     code, _, err = run_cli(capsys, "verify-lemmas", "--in", str(path), *flags)
     assert (code, err) == (0, "")
     assert factorization_shapes == [(165, 165)] * factored
+
+
+# At 1e-160 the eigenvalues of S^-1 overflow; at 10**-153.6 they are finite,
+# but entries of S^-1 pass the largest double when it is symmetrized.
+@pytest.mark.parametrize("scale", [1e-160, 10**-153.6], ids=["1e-160", "1e-153.6"])
+def test_verify_lemmas_refuses_an_inverse_frame_operator_past_the_double_range(
+    tmp_path, capsys, scale
+):
+    path = tmp_path / "system.json"
+    ser.save_system(fk.VectorSystem(fk.random_frame(6, 12, 1, 10.0).columns * scale), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "verify-lemmas", "--in", str(path), "--canonical")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {
+        "error": "BadParameter",
+        "message": "S^-1 has an entry that is not a finite double",
+    }
+
+
+def test_verify_lemmas_fails_a_residual_that_is_not_a_number(tmp_path, capsys, monkeypatch):
+    def nan_reconstruction(system, s_inv, vec, _original=fk.cli._dual_reconstruct):
+        dual = _original(system, s_inv, vec)
+        nan = np.nan
+        return fk.DualReconstruction(dual.coefficients * nan, dual.reconstruction * nan, nan)
+
+    monkeypatch.setattr(fk.cli, "_dual_reconstruct", nan_reconstruction)
+    path = tmp_path / "system.json"
+    ser.save_system(fk.lemma51(6), path)
+    code, out, err = run_cli(capsys, "verify-lemmas", "--in", str(path))
+    assert (code, err) == (1, "")
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    for name in ("dual_reconstruction", "dual_energy_identity"):
+        assert (checks[name]["ok"], checks[name]["value"]) == (False, "inf")
 
 
 @pytest.mark.parametrize("sign", ["true", "false"])

@@ -443,10 +443,32 @@ def test_counting_not_spanning():
 
 def test_operator_power_spectral_data():
     vs = fk.random_frame(5, 8, seed=2, cond=30.0)
-    power = fk.OperatorPower.compute(vs, 1.0)
+    power = fk.OperatorPower.compute(vs)
     assert np.all(np.diff(power.eigenvalues) <= 1e-12)
     assert np.all(power.eigenvalues >= 0.0)
-    np.testing.assert_allclose(power.matrix(), fk.frame_operator(vs), atol=1e-10)
+    np.testing.assert_allclose(power.matrix(1.0), fk.frame_operator(vs), atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "vs",
+    [fk.lemma51(6), fk.random_frame(5, 9, seed=3, cond=50.0)],
+    ids=["real", "complex"],
+)
+def test_one_factorization_gives_every_power(vs):
+    p = fk.OperatorPower.compute(vs)
+    np.testing.assert_allclose(p.matrix(-1.0) @ p.matrix(1.0), np.eye(vs.dim), atol=1e-10)
+    np.testing.assert_allclose(p.matrix(-0.5) @ p.matrix(-0.5), p.matrix(-1.0), atol=1e-10)
+    np.testing.assert_allclose(p.matrix(1.0), fk.frame_operator(vs), atol=1e-10)
+    for e in (0.0, -1.0, 0.5):
+        expected = p.matrix((e - 1) / 2) @ fk.core._arithmetic(vs.columns)
+        got = fk.power_transform(vs, e).columns
+        assert got.tobytes() == expected.astype(np.complex128).tobytes()
+
+
+def test_negative_power_of_a_non_spanning_system_raises():
+    p = fk.OperatorPower.compute(fk.duplicated(2, double_ambient=True))
+    with pytest.raises(NotSpanning):
+        p.matrix(-1.0)
 
 
 def test_coverage_target_handles_float_dust():

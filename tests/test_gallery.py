@@ -469,11 +469,11 @@ def test_flat_search_from_frequency_zero_terminates():
 def test_prop53_build_forms_each_flat_block_frequency_once(monkeypatch, epsilons, dims):
     formed = []
 
-    def counted(system, _original=gallery.frame_operator):
+    def counted(system, _original=fk.core.frame_operator):
         formed.append(system.dim)
         return _original(system)
 
-    monkeypatch.setattr(gallery, "frame_operator", counted)
+    monkeypatch.setattr(fk.core, "frame_operator", counted)
     fk.build_prop53_truncation(2, epsilons)
     assert formed == dims
 

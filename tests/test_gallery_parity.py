@@ -237,7 +237,7 @@ def test_perturbed_pairs_matches_reference_bytes(n):
 @pytest.mark.parametrize("budget", [0.1 / 3, 0.05, 0.05 / 3, 0.1, 0.2 / 3])
 def test_flat_mass_is_the_bottom_eigenvalue_the_budget_tested(budget):
     block = _flat_conditional_basis(budget, 0.45, 8)
-    bottom = OperatorPower.compute(block.system, 1.0).bounds[0]
+    bottom = OperatorPower.compute(block.system).bounds[0]
     assert block.flat_mass.hex() == bottom.hex()
     assert block.flat_mass <= budget
 

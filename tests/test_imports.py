@@ -7,6 +7,10 @@ source and checks every ``LOAD_GLOBAL``/``LOAD_NAME`` against the imported
 module's namespace, so such a fault fails here even on a path no other test
 reaches.
 
+Only ``core`` names ``frame_operator`` (the package ``__init__`` re-exports
+it): every frame operator S is formed inside ``OperatorPower.compute``, and an
+AST scan checks that no other module binds or reads the name.
+
 framekit depends on numpy alone; scipy is a test-only reference.  An AST scan
 checks that no framekit module imports it, pyproject.toml lists numpy as the
 one runtime dependency, and a fresh interpreter checks that no CLI command
@@ -153,6 +157,36 @@ def test_scan_flags_a_function_local_scipy_import():
         "    return scipy.linalg.inv(r)\n\nfrom scipy import linalg\nfrom . import scipyish\n"
     )
     assert scipy_imports(source) == [4, 7]
+
+
+def frame_operator_names(source, filename="<source>"):
+    """Line numbers where source names frame_operator: imported, read or as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source, filename)):
+        if (
+            isinstance(node, ast.Name) and node.id == "frame_operator"
+            or isinstance(node, ast.Attribute) and node.attr == "frame_operator"
+            or isinstance(node, ast.alias) and node.name == "frame_operator"
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+# S is formed in one place, OperatorPower.compute; the package re-exports it
+@pytest.mark.parametrize(
+    "module_name", [m for m in MODULES if m not in ("framekit", "framekit.core")]
+)
+def test_only_core_names_frame_operator(module_name):
+    module = importlib.import_module(module_name)
+    assert frame_operator_names(inspect.getsource(module), module.__file__) == []
+
+
+def test_scan_flags_each_way_of_naming_frame_operator():
+    source = (
+        "from .core import frame_operator\nfrom . import core\n\n"
+        "def s(system):\n    return frame_operator(system), core.frame_operator\n"
+    )
+    assert frame_operator_names(source) == [1, 5, 5]
 
 
 def test_numpy_is_the_only_runtime_dependency():

@@ -81,10 +81,6 @@ def test_every_command_on_a_scaled_system_gives_a_result_or_one_diagnostic(
     system = fk.VectorSystem(SCALED[name].columns * float(f"1e{k}"))
     for command in COMMANDS:
         code, out, err, trace = run(capsys, tmp_path, command, system)
-        if command[0] == "verify-lemmas" and k == -160:
-            # still open (ROADMAP direction 3): S has eigenvalues near 1e-320, S^-1
-            # overflows, and numpy warns while verify-lemmas reports its checks
-            err = ""
         assert_result_or_one_diagnostic(code, out, err, trace)
 
 
