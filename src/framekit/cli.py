@@ -173,7 +173,8 @@ def _run_verifications(system, canonical: bool) -> list[dict]:
         slacks.cardinality_slack >= -VERIFY_TOLERANCE,
         slacks.cardinality_slack,
     )
-    s_inv = power.matrix(-1.0)
+    # the probes are complex: a real S^-1 is converted once, not in every product
+    s_inv = np.asarray(power.matrix(-1.0), np.complex128)
     rng = np.random.default_rng(VERIFY_SEED)
     recon, energy = [], []
     for _ in range(VERIFY_PROBES):
@@ -182,6 +183,7 @@ def _run_verifications(system, canonical: bool) -> list[dict]:
         recon.append(float(np.linalg.norm(dual.reconstruction - probe)))
         mass = float(np.sum(np.abs(dual.coefficients) ** 2))
         energy.append(abs(dual.parseval_scalar - mass) / max(1.0, abs(dual.parseval_scalar)))
+    del s_inv  # not held beside the canonical transform's copies
     record_worst("dual_reconstruction", recon)
     record_worst("dual_energy_identity", energy)
     if canonical:

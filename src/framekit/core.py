@@ -45,7 +45,10 @@ def gram(columns: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         g = columns.conj().T @ columns
-        return 0.5 * (g + g.conj().T)
+        # in place, with the bits of 0.5 * (g + g.conj().T)
+        g += g.conj().T
+        g *= 0.5
+        return g
 
 
 @dataclass(frozen=True, eq=False, repr=False)

@@ -233,49 +233,64 @@ def save_system(system: VectorSystem, path) -> None:
 
 
 def load_system(path) -> VectorSystem:
-    text = _read_text(path)
-    system = _system_from_writer_text(text)
+    try:
+        with Path(path).open("rb") as f:
+            system = _system_from_writer_file(f)
+    except (OSError, UnicodeDecodeError):
+        system = None  # _read_text names the fault, at its place in the whole file
     if system is None:
-        system = system_from_json(_parse_json(text, path))
+        system = system_from_json(_parse_json(_read_text(path), path))
     return system
 
 
-_WRITER_PREFIX = '{"columns": [['
+_WRITER_PREFIX = b'{"columns": [['
+# bytes per read of a system file: the first window of the search for its
+# tail, and each forward read of its pairs
+_READ_BYTES = 1 << 16
 # str.translate table that deletes every character a JSON number can contain
 _NUMBER_CHARS = dict.fromkeys(map(ord, "0123456789.-+eE"))
 
 
-def _system_from_writer_text(text: str) -> VectorSystem | None:
-    """load_system for the layout save_system writes, without a Python list per pair.
+def _system_from_writer_file(f) -> VectorSystem | None:
+    """load_system for the layout save_system writes, read from the open binary file f.
 
-    The pairs text [re,im],...,[re,im] is cut at "],[" into blocks of about
-    _BLOCK_PAIRS pairs.  The nonzero tokens of each block go to json.loads as
-    one flat list of numbers, so the JSON scanner still checks each of them and
-    makes the same int and float objects as a parse of the whole text, and
-    np.fromiter converts them as _flat_pairs does.  The tokens 0.0, the text of
-    +0.0, are located by one array pass over the block's bytes and never
-    parsed (_block_pairs).  The tail is found from the end of the text and
-    gives "dim" and "count", so the number of pairs is read off the header,
-    not counted; a text too short for that many pairs is refused before the
-    array is allocated.  Each block goes straight into the system's own C-order
-    array, so the text and one array are held at once.  A block that would
-    overfill the array, or blocks that end short of it, leave the layout.
-    Any text not in the writer's layout returns None and takes the general
-    path, which then gives every result and diagnostic.  Each check is one
-    C-level pass per block.
+    The tail after the pairs is found from the end of the file, in windows
+    that grow from _READ_BYTES bytes, decoded as UTF-8, and gives "dim" and
+    "count", so the number of pairs is read off the header, not counted; a
+    file too short for that many pairs is refused before the array is
+    allocated.  The pairs text [re,im],...,[re,im] is then read forward,
+    _READ_BYTES at a time, each read decoded as ASCII, and cut at "],[" into
+    blocks of about _BLOCK_PAIRS pairs; the text past a cut carries into the
+    next block.  The nonzero tokens of each block go to json.loads as one flat
+    list of numbers, so the JSON scanner still checks each of them and makes
+    the same int and float objects as a parse of the whole text, and
+    np.fromiter converts them as _flat_pairs does; the tokens 0.0, the text of
+    +0.0, are never parsed (_block_pairs).  Each block goes straight into
+    the system's own C-order array, so one array and one block of text (and
+    one read) are held at once.  A block that would overfill the array, or
+    blocks that end short of it, leave the layout.  Any file not in the
+    writer's layout returns None and takes the general path, which then gives
+    every result and diagnostic.
     """
-    if not text.startswith(_WRITER_PREFIX):
+    if not f.seekable() or f.read(len(_WRITER_PREFIX)) != _WRITER_PREFIX:
         return None
-    # the last ']],"', found from the end: one later than the pairs' end leaves
-    # a '"' among the pairs, which _block_pairs refuses, and ',"' rules out a
-    # tail such as ",}", which would parse as "{}"
-    end = text.rfind(']],"', len(_WRITER_PREFIX))
+    # the last ']],"', in windows that end at the end of the file: one later
+    # than the pairs' end leaves a '"' among the pairs, which _block_pairs
+    # refuses, and ',"' rules out a tail such as ",}", which would parse as "{}"
+    size = low = f.seek(0, 2)
+    end = -1
+    while end < 0 and low > len(_WRITER_PREFIX):
+        low = max(len(_WRITER_PREFIX), 2 * low - size - _READ_BYTES)
+        f.seek(low)
+        window = f.read()
+        end = window.rfind(b']],"')
     if end < 0:
         return None
     try:
-        fields = json.loads("{" + text[end + 3:])
-    except (ValueError, RecursionError):
+        fields = json.loads("{" + window[end + 3:].decode("utf-8"))
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
         return None
+    del window
     # json.loads of the whole text would keep the last of two "columns" keys
     if "columns" in fields:
         return None
@@ -283,23 +298,30 @@ def _system_from_writer_text(text: str) -> VectorSystem | None:
     # any other header takes the general path, which names what is wrong with it
     if type(dim) is not int or type(count) is not int or dim < 1 or count < 1:
         return None
-    start, stop = len(_WRITER_PREFIX) - 1, end + 1
-    n_pairs = dim * count
-    # the shortest pair is "[0,0]", so k pairs and their commas take 6k - 1 characters
-    if stop - start < 6 * n_pairs - 1:
+    n_pairs, left = dim * count, low + end + 2 - len(_WRITER_PREFIX)
+    # the shortest pair is "[0,0]", so k pairs and their commas take 6k - 1 bytes
+    if left < 6 * n_pairs - 1:
         return None
     cols = np.empty((dim, count), np.complex128)
     # _BLOCK_PAIRS times the mean length of a pair and its comma
-    step = _BLOCK_PAIRS * (stop + 1 - start) // n_pairs
-    filled = 0
-    while start < stop:
-        # a block ends at the first "],[" whose "[" lies at or past start + step
-        cut = text.find("],[", start + max(step - 2, 1), stop)
-        cut = stop if cut < 0 else cut + 1
-        pairs = _block_pairs(text[start:cut])
+    step = _BLOCK_PAIRS * (left + 1) // n_pairs
+    f.seek(len(_WRITER_PREFIX) - 1)
+    text, filled = "", 0
+    while text or left:
+        # a block ends at the first "],[" whose "[" lies at or past step
+        cut = text.find("],[", max(step - 2, 1))
+        while cut < 0 and left:
+            read = f.read(min(_READ_BYTES, left))
+            left -= len(read) or left  # a file that shrank ends its pairs here
+            text += read.decode("ascii")
+            cut = text.find("],[", max(len(text) - len(read) - 2, step - 2, 1))
+        cut = len(text) if cut < 0 else cut + 1
+        # the argument is the block's one reference, so _block_pairs frees it
+        held = [text[:cut]]
+        text = text[cut + 1:]
+        pairs = _block_pairs(held.pop())
         if pairs is None or filled + len(pairs) > n_pairs:
             return None
-        start = cut + 1
         _fill_file_order(cols, filled, pairs)
         filled += len(pairs)
         del pairs  # before the next block is decoded

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import framekit as fk
+from framekit import core
 from framekit import serialization as ser
 from framekit.errors import (
     BadParameter,
@@ -279,6 +281,42 @@ def test_frame_operator_hermitian_psd_trace(seed):
     assert abs(np.trace(s).real - np.sum(vs.norms() ** 2)) < 1e-10 * max(
         1.0, np.sum(vs.norms() ** 2)
     )
+
+
+# past sqrt(DBL_MAX), about 1.34e154, so a product of two such entries is inf
+HUGE = 1e155
+GRAM_COLUMNS = {
+    "real": np.random.default_rng(3).standard_normal((5, 4)),
+    "complex": np.random.default_rng(3).standard_normal((5, 8)).view(np.complex128),
+    "real signed zeros": np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, -0.0], [-0.0, -0.0, 2.0]]),
+    "complex signed zeros": np.array(
+        [[complex(-0.0, 0.0), complex(0.0, -0.0), 1j], [complex(-0.0, -0.0), -0.0, complex(1.0, -0.0)]]
+    ),
+    "real past sqrt(DBL_MAX)": np.array([[HUGE, HUGE, 1.0], [HUGE, -HUGE, -0.0]]),
+    "complex past sqrt(DBL_MAX)": np.array([[HUGE + 1j, HUGE], [HUGE, complex(-HUGE, HUGE)]]),
+}
+
+
+@pytest.mark.parametrize("name", GRAM_COLUMNS)
+def test_gram_has_the_bits_of_the_half_sum(name):
+    columns = GRAM_COLUMNS[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = columns.conj().T @ columns
+        half_sum = 0.5 * (g + g.conj().T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = core.gram(columns)
+    assert out.dtype == half_sum.dtype == columns.dtype
+    assert np.array_equal(out.view(np.uint64), half_sum.view(np.uint64))
+    if "DBL_MAX" in name:
+        assert not np.all(np.isfinite(out))
+
+
+def test_frame_operator_of_a_real_system_holds_one_temporary():
+    system = fk.VectorSystem(np.random.default_rng(4).standard_normal((512, 1024)))
+    n, real_bytes = system.dim, system.columns.nbytes // 2
+    # the real copy of the columns, S, and the copy of S.T that the in-place sum reads
+    assert traced_peak(lambda: fk.frame_operator(system)) <= real_bytes + 2 * 8 * n * n + 2**20
 
 
 def test_frame_report_onb():

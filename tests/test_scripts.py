@@ -2,6 +2,7 @@
 import csv
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -69,3 +70,20 @@ def test_unexecuted_lines_script_lists_existing_statements():
         name, number = location.split(":")
         text = (ROOT / "src" / "framekit" / name).read_text().splitlines()
         assert text[int(number) - 1].strip() == source
+
+
+def test_peak_rss_script_prints_one_positive_number_per_command(tmp_path):
+    system = shlex.quote(str(tmp_path / "system.json"))
+    commands = [
+        f"""gen --spec '{{"kind": "lemma51", "n": 4}}' --out {system}""",
+        f"analyze --in {system}",
+        f"verify-lemmas --in {system}",
+    ]
+    proc = run_script("peak_rss.py", *commands)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(commands)
+    for line, command in zip(lines, commands):
+        megabytes, unit, exit_word, code, rest = line.split(None, 4)
+        assert float(megabytes) > 0 and unit == "MB"
+        assert (exit_word, code, rest) == ("exit", "0", command)

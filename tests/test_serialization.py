@@ -547,16 +547,23 @@ def test_load_system_matches_the_general_decoder(system, tmp_path):
     assert back.labels == reference.labels == system.labels
 
 
+def general_parser_called(*args):
+    raise AssertionError("the writer's own layout took the general path")
+
+
+def load_in_writer_layout(text, path, patch):
+    """load_system of text written to path, with the general path patched to fail."""
+    path.write_text(text, encoding="utf-8")
+    patch.setattr(ser, "_parse_json", general_parser_called)
+    return ser.load_system(path)
+
+
 @pytest.mark.parametrize("system", parity_systems(), ids=lambda s: repr(s))
 def test_load_system_reads_the_writers_layout_without_the_general_parser(
     system, tmp_path, monkeypatch
 ):
     path = tmp_path / "system.json"
     ser.save_system(system, path)
-
-    def general_parser_called(*args):
-        raise AssertionError("the writer's own layout took the general path")
-
     monkeypatch.setattr(ser, "_parse_json", general_parser_called)
     back = ser.load_system(path)
     assert same_bits(back.columns, system.columns)
@@ -717,7 +724,7 @@ def test_small_blocks_write_the_per_entry_codec_bytes(system, small_blocks, tmp_
     assert written == ser.dumps(reference_system_to_json(system)).encode()
 
 
-def reader_block_pairs(text, monkeypatch):
+def reader_block_pairs(text, path, monkeypatch):
     """The number of pairs in each block that load_system's fast path decodes."""
     sizes = []
     loads = json.loads
@@ -730,7 +737,7 @@ def reader_block_pairs(text, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(json, "loads", recording_loads)
-        assert ser._system_from_writer_text(text) is not None
+        assert load_in_writer_layout(text, path, patch) is not None
     return sizes
 
 
@@ -744,7 +751,7 @@ def test_systems_at_the_block_edges_round_trip(n, m, tmp_path, monkeypatch):
     system = fk.random_frame(n, m, 5)
     text = "".join(ser._system_chunks(system))
     assert text == ser.dumps(reference_system_to_json(system))
-    sizes = reader_block_pairs(text, monkeypatch)
+    sizes = reader_block_pairs(text, tmp_path / "blocks.json", monkeypatch)
     assert sum(sizes) == n * m
     assert all(B // 2 <= k <= 2 * B for k in sizes[:-1])  # about B pairs each
     test_load_system_reads_the_writers_layout_without_the_general_parser(
@@ -769,7 +776,7 @@ def test_a_bad_token_in_the_last_pair_of_a_block(name, block, tmp_path, monkeypa
     pairs = [[repr(flat[i]), repr(flat[i + 1])] for i in range(0, len(flat), 2)]
     tail = ser.dumps(ser._system_fields(system))[1:]
     assert writer_text(pairs, tail) == "".join(ser._system_chunks(system))
-    sizes = reader_block_pairs(writer_text(pairs, tail), monkeypatch)
+    sizes = reader_block_pairs(writer_text(pairs, tail), tmp_path / "blocks.json", monkeypatch)
     assert len(sizes) >= 2
     last = sum(sizes[:block + 1]) - 1
     path = tmp_path / "system.json"
@@ -811,6 +818,118 @@ def test_a_header_off_the_pairs_holds_the_text_and_one_array(count, tmp_path):
     peak = traced_peak(lambda: outcome.append(load_outcome(ser.load_system, path)))
     assert outcome == [load_outcome(general_load, path)]
     assert peak <= text_bytes + array_bytes + 2**21
+
+
+def test_a_load_holds_the_array_and_one_block_of_text(tmp_path):
+    system = fk.random_frame(128, 2048, 3, 100.0)  # an 11.9 MB file, 4 MiB of columns
+    path = tmp_path / "system.json"
+    ser.save_system(system, path)
+    array_bytes = system.columns.nbytes
+    assert path.stat().st_size > 2 * array_bytes
+    # a block of pairs is about 0.7 MB of text; a copy of the file's text would not fit
+    assert traced_peak(lambda: ser.load_system(path)) <= array_bytes + 3 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# load_system reads the file in reads of _READ_BYTES bytes
+
+
+@pytest.fixture(params=[1, 7, 64])
+def small_reads(request, monkeypatch):
+    """Reads of 1, 7 or 64 bytes, so that read edges fall inside tokens, pairs and the tail."""
+    monkeypatch.setattr(ser, "_READ_BYTES", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("name", TEXT_MUTATIONS)
+def test_small_reads_decode_mutated_text_like_the_general_path(name, small_reads, tmp_path):
+    test_load_system_decodes_mutated_text_like_the_general_path(name, tmp_path)
+
+
+@pytest.mark.parametrize("system", parity_systems(), ids=lambda s: repr(s))
+def test_small_reads_read_the_writers_layout_without_the_general_parser(
+    system, small_reads, small_blocks, tmp_path, monkeypatch
+):
+    test_load_system_reads_the_writers_layout_without_the_general_parser(
+        system, tmp_path, monkeypatch
+    )
+
+
+@pytest.mark.parametrize("system", [fk.random_frame(3, 5, 5), fk.lemma52_block(2, 0.3)], ids=repr)
+def test_small_blocks_are_cut_where_one_read_cuts_them(system, small_blocks, tmp_path, monkeypatch):
+    text = "".join(ser._system_chunks(system))
+    path = tmp_path / "system.json"
+    assert len(text) < ser._READ_BYTES
+    whole = [block for block, _ in reader_parses(text, path, monkeypatch)]
+    assert len(whole) > 1
+    for read_bytes in [1, 2, 3, 7, 64]:
+        monkeypatch.setattr(ser, "_READ_BYTES", read_bytes)
+        assert [block for block, _ in reader_parses(text, path, monkeypatch)] == whole
+
+
+def test_a_tail_longer_than_the_first_window(tmp_path, monkeypatch):
+    n = ser._READ_BYTES
+    system = fk.VectorSystem(np.random.default_rng(5).standard_normal((2, 3)), ("é" * n, "x" * n, ""))
+    tail = ser.dumps(ser._system_fields(system))[1:]
+    assert len(tail.encode()) > 4 * n  # the window from the end (n, 3n, 7n bytes) grows twice
+    test_load_system_reads_the_writers_layout_without_the_general_parser(
+        system, tmp_path, monkeypatch
+    )
+
+
+def test_small_reads_a_tail_longer_than_the_first_window(small_reads, tmp_path, monkeypatch):
+    test_a_tail_longer_than_the_first_window(tmp_path, monkeypatch)
+
+
+def read_outcome(path):
+    """The general path's outcome: _read_text's diagnostic for a file that is not UTF-8."""
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return f"cannot read {path}: {exc}"
+    return load_outcome(general_load, path)
+
+
+def _before_the_last_pair_end(insert):
+    """An edit of the file's bytes that puts insert after the last im token."""
+    return lambda data: data[:data.rindex(b"]],")] + insert + data[data.rindex(b"]],"):]
+
+
+# edits of the bytes of a file in the writer's layout: UTF-8 that is not ASCII,
+# and bytes that are not UTF-8, among the pairs and in the tail
+BYTE_MUTATIONS = {
+    "é inside the first pair": lambda data: data.replace(b",", ",é".encode(), 1),
+    "é between two pairs": lambda data: data.replace(b"],[", "],é[".encode(), 1),
+    "é after the last im token": _before_the_last_pair_end("é".encode()),
+    "é in a label": lambda data: data.replace(b'"a"', '"é"'.encode()),
+    "日本 in a label": lambda data: data.replace(b'"b"', '"日本"'.encode()),
+    "0xff inside the first pair": lambda data: data.replace(b",", b",\xff", 1),
+    "0xff after the last im token": _before_the_last_pair_end(b"\xff"),
+    "0xff in a label": lambda data: data.replace(b'"b"', b'"\xff"'),
+    "a cut UTF-8 sequence in a label": lambda data: data.replace(b'"c"', b'"\xc3"'),
+    "0xff after the document": lambda data: data + b"\xff",
+}
+
+
+@pytest.mark.parametrize("name", BYTE_MUTATIONS)
+def test_load_system_decodes_non_ascii_bytes_like_the_general_path(name, tmp_path):
+    _, pairs, tail = mutation_base()
+    path = tmp_path / "system.json"
+    path.write_bytes(BYTE_MUTATIONS[name](writer_text(pairs, tail).encode()))
+    assert path.read_bytes() != writer_text(pairs, tail).encode()
+    assert load_outcome(ser.load_system, path) == read_outcome(path)
+
+
+@pytest.mark.parametrize("name", BYTE_MUTATIONS)
+def test_small_reads_decode_non_ascii_bytes_like_the_general_path(name, small_reads, tmp_path):
+    test_load_system_decodes_non_ascii_bytes_like_the_general_path(name, tmp_path)
+
+
+def test_a_file_that_cannot_be_opened_gives_the_read_diagnostic(tmp_path):
+    for path in (tmp_path / "missing.json", tmp_path):
+        with pytest.raises(OSError) as exc:
+            path.read_text(encoding="utf-8")
+        assert load_outcome(ser.load_system, path) == f"cannot read {path}: {exc.value}"
 
 
 def test_save_holds_one_block_of_columns(tmp_path):
@@ -921,7 +1040,7 @@ def test_small_blocks_write_zero_systems_like_the_per_entry_codec(system, small_
     test_zero_systems_write_the_per_entry_codec_bytes(system, tmp_path)
 
 
-def test_the_fast_path_parses_no_zero_token(monkeypatch):
+def test_the_fast_path_parses_no_zero_token(tmp_path, monkeypatch):
     system = fk.generate(fk.GallerySpec("prop53Truncation", SMALL_SPECS["prop53Truncation"]))
     text = "".join(ser._system_chunks(system))
     assert "[0.0," in text and ",0.0]" in text
@@ -934,7 +1053,7 @@ def test_the_fast_path_parses_no_zero_token(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(json, "loads", recording_loads)
-        back = ser._system_from_writer_text(text)
+        back = load_in_writer_layout(text, tmp_path / "system.json", patch)
     assert back is not None and same_bits(back.columns, system.columns)
     blocks = [s for s in parsed if s.startswith("[")]  # not the fields after the pairs
     assert blocks
@@ -945,7 +1064,7 @@ def test_the_fast_path_parses_no_zero_token(monkeypatch):
 # only the nonzero tokens are parsed: the tokens 0.0 are located in the block's bytes
 
 
-def reader_parses(text, monkeypatch):
+def reader_parses(text, path, monkeypatch):
     """Each block load_system's fast path decodes, with the lengths of the lists json.loads returns for it."""
     blocks = []
     loads, block_pairs = json.loads, ser._block_pairs
@@ -963,7 +1082,7 @@ def reader_parses(text, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(json, "loads", recording_loads)
         patch.setattr(ser, "_block_pairs", recording_block_pairs)
-        assert ser._system_from_writer_text(text) is not None
+        assert load_in_writer_layout(text, path, patch) is not None
     return blocks
 
 
@@ -976,10 +1095,10 @@ PARSE_COUNT_SYSTEMS = {
 
 
 @pytest.mark.parametrize("name", PARSE_COUNT_SYSTEMS)
-def test_the_fast_path_parses_only_the_nonzero_tokens(name, monkeypatch):
+def test_the_fast_path_parses_only_the_nonzero_tokens(name, tmp_path, monkeypatch):
     system = PARSE_COUNT_SYSTEMS[name]()
     text = "".join(ser._system_chunks(system))
-    blocks = reader_parses(text, monkeypatch)
+    blocks = reader_parses(text, tmp_path / "system.json", monkeypatch)
     nonzero_doubles = np.count_nonzero(ser._column_floats(system.columns).view(np.uint64))
     assert sum(sum(lengths) for _, lengths in blocks) == nonzero_doubles
     for block, lengths in blocks:
@@ -989,11 +1108,11 @@ def test_the_fast_path_parses_only_the_nonzero_tokens(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", PARSE_COUNT_SYSTEMS)
-def test_small_blocks_parse_only_the_nonzero_tokens(name, small_blocks, monkeypatch):
-    test_the_fast_path_parses_only_the_nonzero_tokens(name, monkeypatch)
+def test_small_blocks_parse_only_the_nonzero_tokens(name, small_blocks, tmp_path, monkeypatch):
+    test_the_fast_path_parses_only_the_nonzero_tokens(name, tmp_path, monkeypatch)
 
 
-def lone_token_cases(dim, count, monkeypatch):
+def lone_token_cases(dim, count, path, monkeypatch):
     """Texts of a dim x count system of +0.0 with the token 1.5 at the edges of the file and of its blocks.
 
     Each case maps a name to the (pair, entry) places of 1.5.  1.5 is as long
@@ -1003,7 +1122,7 @@ def lone_token_cases(dim, count, monkeypatch):
     tokens = [["0.0", "0.0"] for _ in range(dim * count)]
     tail = ser.dumps(ser._system_fields(system))[1:]
     assert writer_text(tokens, tail) == "".join(ser._system_chunks(system))
-    sizes = [block.count("[") for block, _ in reader_parses(writer_text(tokens, tail), monkeypatch)]
+    sizes = [block.count("[") for block, _ in reader_parses(writer_text(tokens, tail), path, monkeypatch)]
     assert len(sizes) >= 2
     last, cut = dim * count - 1, sizes[0]  # cut: the first pair of the second block
     cases = {}
@@ -1018,8 +1137,8 @@ def lone_token_cases(dim, count, monkeypatch):
 
 
 def check_lone_token_cases(dim, count, tmp_path, monkeypatch):
-    tokens, tail, sizes, cases = lone_token_cases(dim, count, monkeypatch)
     path = tmp_path / "system.json"
+    tokens, tail, sizes, cases = lone_token_cases(dim, count, path, monkeypatch)
     for name, places in cases.items():
         edited = [list(pair) for pair in tokens]
         expected = np.zeros((dim * count, 2))
@@ -1027,7 +1146,7 @@ def check_lone_token_cases(dim, count, tmp_path, monkeypatch):
             edited[pair][entry] = "1.5"
             expected[pair, entry] = 1.5
         text = writer_text(edited, tail)
-        assert [b.count("[") for b, _ in reader_parses(text, monkeypatch)] == sizes, name
+        assert [b.count("[") for b, _ in reader_parses(text, path, monkeypatch)] == sizes, name
         path.write_text(text, encoding="utf-8")
         outcome = load_outcome(ser.load_system, path)
         assert outcome == load_outcome(general_load, path), name
